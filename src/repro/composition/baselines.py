@@ -61,16 +61,7 @@ def _copy_into(source: DBObject, target: DBObject, mapping: Dict[Any, DBObject])
             # The copy baseline materialises into brand-new objects; no
             # reader has memoised them, so no epoch bump is needed.
             target._attrs[name] = value  # lint: allow(REP601)
-    for name in source.subclass_names():
-        target_container = target._subclasses.get(name)
-        if target_container is None:
-            continue
-        for member in source.get_member(name):
-            copy = new_object(member.object_type, database=target.database)
-            copy.parent = target
-            copy._container = target_container
-            target_container._members[copy.surrogate] = copy
-            _copy_into(member, copy, mapping)
+    _copy_subobjects(source, target, mapping)
     for name in source.subrel_names():
         source_container = source.subrel(name)
         target_container = target._subrels.get(name)
@@ -89,6 +80,24 @@ def _copy_into(source: DBObject, target: DBObject, mapping: Dict[Any, DBObject])
             copy_rel = target_container.create(participants)
             for attr, attr_value in rel.local_attributes().items():
                 copy_rel._attrs[attr] = attr_value  # lint: allow(REP601) — fresh copy
+            # A local relationship is a complex object too (the steel
+            # Screwing owns its Bolt and Nut): copy its subobjects.
+            _copy_subobjects(rel, copy_rel, mapping)
+
+
+def _copy_subobjects(source: DBObject, target: DBObject,
+                     mapping: Dict[Any, DBObject]) -> None:
+    """Deep-copy every local subclass of ``source`` into ``target``."""
+    for name in source.subclass_names():
+        target_container = target._subclasses.get(name)
+        if target_container is None:
+            continue
+        for member in source.get_member(name):
+            copy = new_object(member.object_type, database=target.database)
+            copy.parent = target
+            copy._container = target_container
+            target_container._members[copy.surrogate] = copy
+            _copy_into(member, copy, mapping)
 
 
 def copy_component(
@@ -111,16 +120,7 @@ def copy_component(
         value = component.get_member(name)
         if value is not None:
             subobject._attrs[name] = value  # lint: allow(REP601) — fresh copy
-    for name in component.subclass_names():
-        target_container = subobject._subclasses.get(name)
-        if target_container is None:
-            continue
-        for member in component.get_member(name):
-            copy = new_object(member.object_type, database=subobject.database)
-            copy.parent = subobject
-            copy._container = target_container
-            target_container._members[copy.surrogate] = copy
-            _copy_into(member, copy, mapping)
+    _copy_subobjects(component, subobject, mapping)
     return subobject
 
 

@@ -104,6 +104,27 @@ class AdaptationTracker:
 
     # -- inspection -----------------------------------------------------------------
 
+    @staticmethod
+    def _links_of(target) -> List[InheritanceLink]:
+        if isinstance(target, InheritanceLink):
+            return [target]
+        return list(target.inheritance_links)
+
+    def _pending_of(self, key: Surrogate) -> List[AdaptationRecord]:
+        """One link's unacknowledged records.  Records acknowledged
+        directly (``record.acknowledged = True``, as auto-adapt triggers
+        do) are dropped here, so the tracker keeps pending records only."""
+        records = self._records.get(key)
+        if not records:
+            return []
+        pending = [record for record in records if not record.acknowledged]
+        if len(pending) < len(records):
+            if pending:
+                self._records[key] = pending
+            else:
+                del self._records[key]
+        return pending
+
     def needs_adaptation(self, target) -> bool:
         """True when a link (or any link of an inheritor object) has
         unacknowledged records."""
@@ -111,28 +132,16 @@ class AdaptationTracker:
 
     def pending(self, target) -> List[AdaptationRecord]:
         """Unacknowledged records for a link or an inheritor object."""
-        links: List[InheritanceLink]
-        if isinstance(target, InheritanceLink):
-            links = [target]
-        else:
-            links = list(target.inheritance_links)
         found: List[AdaptationRecord] = []
-        for link in links:
-            found.extend(
-                record
-                for record in self._records.get(link.surrogate, [])
-                if not record.acknowledged
-            )
+        for link in self._links_of(target):
+            found.extend(self._pending_of(link.surrogate))
         found.sort(key=lambda record: record.seq)
         return found
 
     def all_pending(self) -> List[AdaptationRecord]:
         """Every unacknowledged record in the database."""
         found = [
-            record
-            for records in self._records.values()
-            for record in records
-            if not record.acknowledged
+            record for key in list(self._records) for record in self._pending_of(key)
         ]
         found.sort(key=lambda record: record.seq)
         return found
@@ -148,13 +157,17 @@ class AdaptationTracker:
     # -- acknowledgement ---------------------------------------------------------------
 
     def acknowledge(self, target, up_to_seq: Optional[int] = None) -> int:
-        """Mark pending records as adapted; returns how many were closed."""
+        """Mark pending records as adapted and forget them; returns how
+        many were closed."""
         count = 0
         for record in self.pending(target):
             if up_to_seq is not None and record.seq > up_to_seq:
                 continue
             record.acknowledged = True
             count += 1
+        if count:
+            for link in self._links_of(target):
+                self._pending_of(link.surrogate)
         return count
 
     def clear(self) -> None:

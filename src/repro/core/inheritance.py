@@ -31,7 +31,10 @@ __all__ = [
     "InheritanceRelationshipType",
     "TRANSMITTER_ROLE",
     "INHERITOR_ROLE",
+    "cone_depths",
     "iter_propagation",
+    "iter_propagation_depths",
+    "propagation_cone",
     "propagation_fanout",
 ]
 
@@ -191,63 +194,82 @@ class InheritanceRelationshipType(RelationshipType):
 
 # -- update-propagation traversal ------------------------------------------------
 
+#: The cone of a transmitter nobody inherits from (shared, never mutated).
+_NO_LINKS: Tuple[Any, ...] = ()
 
-def iter_propagation(transmitter, member: str) -> Iterator[Tuple[object, object]]:
-    """Yield ``(link, inheritor)`` for every object an update of ``member``
-    on ``transmitter`` becomes visible in (§4.2's update fan-out).
+
+def propagation_cone(transmitter: Any, member: Optional[str] = None) -> Sequence[Any]:
+    """The links an update of ``member`` on ``transmitter`` travels, in
+    walk order (§4.2's update fan-out); the inheritors it becomes visible
+    in are their ``inheritor`` ends.
 
     The walk is transitive — an inheritor that transmits the member
     onwards (interface hierarchies) contributes its own inheritors — and
-    visits each ``(inheritor, member)`` pair once, so diamonds do not
-    duplicate.  Only links whose ``inheriting`` clause makes the member
-    permeable are followed.  The traversal is the single source of truth
-    for "who sees this update": the materialising cache invalidates along
-    it and the observability layer measures fan-out with it.
+    reaches each inheritor once, through the first link found, so
+    diamonds do not duplicate.  Only links whose ``inheriting`` clause
+    makes ``member`` permeable are followed; ``member=None`` follows every
+    link (the downstream subtree a binding change re-routes).  This is
+    the one walk of the cone: the derived-state maintainer refreshes
+    along it, the event tap measures fan-out from it, and the audit log
+    keeps it as the mutation's propagation record.
     """
+    if not transmitter._links_as_transmitter:
+        return _NO_LINKS
+    cone: List[Any] = []
+    append = cone.append
+    seen: Set[int] = set()
     stack = [transmitter]
-    seen: Set[object] = set()
     while stack:
-        current = stack.pop()
-        for link in current._links_as_transmitter:
-            if not link.rel_type.is_permeable(member):
+        for link in stack.pop()._links_as_transmitter:
+            if member is not None and member not in link.rel_type.inheriting:
                 continue
             inheritor = link.inheritor
-            key = inheritor.surrogate
+            key = id(inheritor)
             if key in seen:
                 continue
             seen.add(key)
-            yield link, inheritor
+            append(link)
             stack.append(inheritor)
+    return cone
+
+
+def cone_depths(
+    transmitter: Any, cone: Sequence[Any]
+) -> Iterator[Tuple[Any, Any, int]]:
+    """``(link, inheritor, depth)`` for each link of ``cone`` (a
+    :func:`propagation_cone` of ``transmitter``): depth counts inheritance
+    hops below the transmitter, direct inheritors being depth 1.
+
+    The walk reaches a link's transmitter end before the link itself, so
+    depths are derived in one pass at read time instead of being carried
+    through the walk.
+    """
+    depth_of = {id(transmitter): 0}
+    for link in cone:
+        inheritor = link.inheritor
+        depth = depth_of.get(id(link.transmitter), 0) + 1
+        depth_of[id(inheritor)] = depth
+        yield link, inheritor, depth
+
+
+def iter_propagation(transmitter: Any, member: str) -> Iterator[Tuple[Any, Any]]:
+    """Yield ``(link, inheritor)`` for every object an update of ``member``
+    on ``transmitter`` becomes visible in, in :func:`propagation_cone`
+    order."""
+    for link in propagation_cone(transmitter, member):
+        yield link, link.inheritor
 
 
 def iter_propagation_depths(
-    transmitter, member: str
-) -> Iterator[Tuple[object, object, int]]:
+    transmitter: Any, member: str
+) -> Iterator[Tuple[Any, Any, int]]:
     """Like :func:`iter_propagation`, additionally yielding each inheritor's
-    **depth** — how many inheritance hops below the updated transmitter it
-    sits (direct inheritors are depth 1).
-
-    Membership and dedup semantics are identical to :func:`iter_propagation`
-    (the provenance layer's propagation cones are verified against it); in
-    a diamond, an inheritor is reported at the depth of whichever path the
-    walk reaches it through first.
-    """
-    stack = [(transmitter, 0)]
-    seen: Set[object] = set()
-    while stack:
-        current, depth = stack.pop()
-        for link in current._links_as_transmitter:
-            if not link.rel_type.is_permeable(member):
-                continue
-            inheritor = link.inheritor
-            key = inheritor.surrogate
-            if key in seen:
-                continue
-            seen.add(key)
-            yield link, inheritor, depth + 1
-            stack.append((inheritor, depth + 1))
+    **depth** (see :func:`cone_depths`); in a diamond, an inheritor is
+    reported at the depth of whichever path the walk reaches it through
+    first."""
+    return cone_depths(transmitter, propagation_cone(transmitter, member))
 
 
-def propagation_fanout(transmitter, member: str) -> int:
+def propagation_fanout(transmitter: Any, member: str) -> int:
     """How many inheritors would see an update of ``member`` (transitively)."""
-    return sum(1 for _ in iter_propagation(transmitter, member))
+    return len(propagation_cone(transmitter, member))

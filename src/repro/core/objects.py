@@ -197,6 +197,28 @@ class DBObject:
         if bus is not None:
             bus.emit(kind, subject=self, **data)
 
+    def _publish(self, kind: str, changed: Optional[str], **data: Any) -> None:
+        """Emit ``kind`` after bringing derived state up to date.
+
+        ``changed`` names the member whose value changed (an attribute or
+        a container); None means this object's bindings changed.  The
+        database's maintainer refreshes value indexes and views before
+        any bus handler runs; the cone it walked rides on the event.
+        """
+        database = self.database
+        maintainer = getattr(database, "maintainer", None)
+        if maintainer is None:
+            self._emit(kind, **data)
+            return
+        cone = (
+            maintainer.member_changed(self, changed, kind)
+            if changed is not None
+            else maintainer.topology_changed(self, kind)
+        )
+        if cone is not None:
+            data["cone"] = cone
+        database.events.emit(kind, subject=self, **data)
+
     # -- inheritance plumbing ---------------------------------------------------
 
     @property
@@ -511,7 +533,9 @@ class DBObject:
             old = overflow.get(name)
             overflow[name] = normalised
         self._mutation_epoch += 1
-        self._emit("attribute_updated", attribute=name, old=old, new=normalised)
+        self._publish(
+            "attribute_updated", name, attribute=name, old=old, new=normalised
+        )
         return normalised
 
     def set(self, name: str, value: Any) -> Any:
@@ -690,7 +714,9 @@ class LocalSubclass:
         member._container = self
         self._members[member.surrogate] = member
         self.owner._mutation_epoch += 1
-        self.owner._emit("subobject_added", subclass=self.name, member=member)
+        self.owner._publish(
+            "subobject_added", self.name, subclass=self.name, member=member
+        )
         return member
 
     def add(self, member: DBObject) -> DBObject:
@@ -708,7 +734,9 @@ class LocalSubclass:
         member._container = self
         self._members[member.surrogate] = member
         self.owner._mutation_epoch += 1
-        self.owner._emit("subobject_added", subclass=self.name, member=member)
+        self.owner._publish(
+            "subobject_added", self.name, subclass=self.name, member=member
+        )
         return member
 
     def remove(self, member: DBObject) -> None:
@@ -721,7 +749,9 @@ class LocalSubclass:
     def _discard(self, member: DBObject) -> None:
         self._members.pop(member.surrogate, None)
         self.owner._mutation_epoch += 1
-        self.owner._emit("subobject_removed", subclass=self.name, member=member)
+        self.owner._publish(
+            "subobject_removed", self.name, subclass=self.name, member=member
+        )
 
     def members(self) -> List[DBObject]:
         """Snapshot list of current members."""
@@ -792,7 +822,9 @@ class LocalRelClass:
         rel._container_rel = self
         self._members[rel.surrogate] = rel
         self.owner._mutation_epoch += 1
-        self.owner._emit("relationship_created", subrel=self.name, relationship=rel)
+        self.owner._publish(
+            "relationship_created", self.name, subrel=self.name, relationship=rel
+        )
         return rel
 
     def check_restriction(self, rel: "RelationshipObject") -> None:
@@ -818,7 +850,9 @@ class LocalRelClass:
     def _discard(self, rel: "RelationshipObject") -> None:
         self._members.pop(rel.surrogate, None)
         self.owner._mutation_epoch += 1
-        self.owner._emit("relationship_removed", subrel=self.name, relationship=rel)
+        self.owner._publish(
+            "relationship_removed", self.name, subrel=self.name, relationship=rel
+        )
 
     def members(self) -> List["RelationshipObject"]:
         return list(self._members.values())
@@ -927,14 +961,11 @@ class InheritanceLink(RelationshipObject):
             surrogate,
             database=database,
         )
-
-    @property
-    def transmitter(self) -> DBObject:
-        return self._participants[TRANSMITTER_ROLE]
-
-    @property
-    def inheritor(self) -> DBObject:
-        return self._participants[INHERITOR_ROLE]
+        #: The two ends, fixed for the link's lifetime like every
+        #: participant; plain attributes because propagation walks read
+        #: ``inheritor`` once per cone member.
+        self.transmitter: DBObject = transmitter
+        self.inheritor: DBObject = inheritor
 
     def is_permeable(self, member: str) -> bool:
         return self.rel_type.is_permeable(member)
@@ -955,8 +986,8 @@ class InheritanceLink(RelationshipObject):
         inheritor._bump_binding_epoch()
         transmitter._binding_epoch += 1
         self.delete()
-        inheritor._emit(
-            "inheritor_unbound", rel_type=self.rel_type, transmitter=transmitter
+        inheritor._publish(
+            "inheritor_unbound", None, rel_type=self.rel_type, transmitter=transmitter
         )
 
     def delete(self, unbind_inheritors: bool = False) -> None:
@@ -1110,8 +1141,8 @@ def _make_link(
     transmitter._links_as_transmitter.append(link)
     inheritor._bump_binding_epoch()
     transmitter._binding_epoch += 1
-    inheritor._emit(
-        "inheritor_bound", rel_type=rel_type, transmitter=transmitter, link=link
+    inheritor._publish(
+        "inheritor_bound", None, rel_type=rel_type, transmitter=transmitter, link=link
     )
     return link
 

@@ -73,6 +73,7 @@ class Database:
         # Imported here, not at module level: repro.query imports this
         # module for the executor, so the package edges meet at runtime.
         from ..query.indexes import IndexManager
+        from ..query.maintain import Maintainer
         from ..query.views import ViewManager
 
         if sanitize or _sanitize_by_env():
@@ -92,6 +93,9 @@ class Database:
         self.indexes = IndexManager(self)
         #: Materialized per-type inherited-relation views (repro.query.views).
         self.views = ViewManager(self)
+        #: Keeps indexes and views current along each mutation's cone,
+        #: called by the core layer before the bus runs (repro.query.maintain).
+        self.maintainer = Maintainer(self)
         #: Set by repro.txn when a transaction manager attaches.
         self.transactions = None
         #: Set by repro.consistency when an adaptation tracker attaches.

@@ -182,6 +182,9 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        #: Bumped by :meth:`reset`: holders of instrument handles rebind
+        #: when it moves.
+        self.generation = 0
 
     def _check_free(self, name: str, kind: str) -> None:
         for other_kind, table in (
@@ -245,6 +248,7 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        self.generation += 1
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)

@@ -5,9 +5,12 @@ causality; this module keeps it.  Three pieces:
 
 * :class:`AuditLog` — an append-only structured log (bounded ring plus an
   optional JSONL sink) of every bus event the tap sees **and** of derived
-  operations the engine reports (propagation fan-out arrivals, index
-  maintenance and self-heal, lock-inheritance acquisitions, transaction
-  abort restores, composite expansion).  Every :class:`AuditRecord` carries
+  operations the engine reports (propagation fan-out arrivals, index and
+  view maintenance, index self-heal, lock-inheritance acquisitions,
+  transaction abort restores, composite expansion).  A mutation's
+  fan-out and maintenance are stored as one record each, sharing the
+  mutation's cone, and expanded into per-inheritor / per-target records
+  when read.  Every :class:`AuditRecord` carries
   the process-global ``seq``, a ``cause`` (the record whose handler or
   operation produced it) and a ``trace`` (the root of the causal chain) —
   the stamps :meth:`repro.engine.events.EventBus.emit` threads through the
@@ -37,10 +40,12 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from contextlib import contextmanager
+from itertools import islice
 from time import time as _time
 from typing import Any, Deque, Dict, Iterator, List, NamedTuple, Optional
 
 from ..core import resolution as _resolution
+from ..core.inheritance import cone_depths
 from ..core.slots import UNSET as _UNSET
 from ..engine.events import Event, EventBus, next_seq
 from ..errors import ObjectDeletedError, UnknownAttributeError
@@ -66,20 +71,51 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
-def _as_record(item: Any) -> "AuditRecord":
-    """Normalise a ring entry.
+#: Kind of the one batched maintenance record a mutation appends; read
+#: back as per-target ``index.maintenance`` / ``view.maintenance`` records.
+MAINTENANCE_BATCH = "maintenance.batch"
 
-    Mirrored bus events are stored in the ring as the frozen
-    :class:`~repro.engine.events.Event` itself (it already carries the full
-    record shape — ``seq``/``ts``/``kind``/``subject``/``cause``/``trace``
-    with ``data`` as the detail) and are converted here, at read time, so
-    the hot mirror path pays one ring append and nothing else.
+
+def _expand(item: Any) -> Iterator["AuditRecord"]:
+    """The audit records one ring entry stands for.
+
+    The hot paths store entries in their cheapest form and the readers
+    pay for the structure: a mirrored bus event is the frozen
+    :class:`~repro.engine.events.Event` itself (its ``data`` is the
+    detail, minus the maintainer's cone); a ``propagation.fanout`` record
+    holds the cone's link list, turned into ``(link, inheritor, depth)``
+    arrivals here; a maintenance batch becomes one record per refreshed
+    target, each carrying the batch's stamps.
     """
-    if type(item) is AuditRecord:
-        return item
-    return AuditRecord(
-        item.seq, item.ts, item.kind, item.subject, item.cause, item.trace, item.data
-    )
+    if type(item) is not AuditRecord:
+        data = item.data
+        if "cone" in data:
+            data = {key: value for key, value in data.items() if key != "cone"}
+        yield AuditRecord(
+            item.seq, item.ts, item.kind, item.subject, item.cause, item.trace, data
+        )
+    elif item.kind == "propagation.fanout":
+        detail = dict(item.detail)
+        detail["reached"] = list(cone_depths(item.subject, detail["reached"]))
+        yield item._replace(detail=detail)
+    elif item.kind == MAINTENANCE_BATCH:
+        cone = item.detail["cone"]
+        targets = iter(cone.refreshed)
+        for index, count in cone.spans:
+            for target in islice(targets, count):
+                if index is not None:
+                    detail = {"attribute": index.attr, "index": index.label,
+                              "reason": cone.reason}
+                    kind = "index.maintenance"
+                else:
+                    detail = {"view": target.object_type.name,
+                              "reason": cone.reason}
+                    if cone.member is not None:
+                        detail = {"attribute": cone.member, **detail}
+                    kind = "view.maintenance"
+                yield item._replace(kind=kind, subject=target, detail=detail)
+    else:
+        yield item
 
 
 def _subject_matches(record: "AuditRecord", subject: Any) -> bool:
@@ -160,38 +196,45 @@ class AuditLog:
     subscription), engine call sites report derived operations through
     :meth:`record`, and multi-step engine operations open a causal frame
     with :meth:`operation` so the events they emit become their children.
+    ``appended`` counts stored entries; readers (:meth:`records`, the
+    sink) see them expanded (:func:`_expand`).
     """
 
     def __init__(self, bus: EventBus, ring_size: int = 1024, sink=None):
         self.bus = bus
-        #: Ring entries are AuditRecords or mirrored Events (see _as_record).
+        #: Ring entries are AuditRecords or mirrored Events (see _expand).
         self.ring: Deque[Any] = deque(maxlen=ring_size)
         self.sink = sink
-        #: Total records ever appended (the ring is bounded, this is not).
+        #: Total entries ever appended (the ring is bounded, this is not).
         self.appended = 0
 
     # -- appending ---------------------------------------------------------------
 
-    def _append(self, record: AuditRecord) -> AuditRecord:
-        self.ring.append(record)
+    def _append(self, item: Any) -> Any:
+        self.ring.append(item)
         self.appended += 1
         sink = self.sink
         if sink is not None:
-            sink.write_record(record.as_dict())
-        return record
+            for record in _expand(item):
+                sink.write_record(record.as_dict())
+        return item
 
     def on_event(self, event: Event) -> Event:
         """Mirror a bus event, reusing its causal stamps.
 
         The frozen event is stored as-is and normalised to an
-        :class:`AuditRecord` lazily by the readers (:func:`_as_record`),
-        keeping the per-event mirror cost to one ring append.
+        :class:`AuditRecord` lazily by the readers, keeping the per-event
+        mirror cost to one ring append.  When the maintainer refreshed
+        derived state for the event's mutation, one batched
+        ``maintenance.batch`` record follows it, caused by the event.
         """
-        self.ring.append(event)
-        self.appended += 1
-        sink = self.sink
-        if sink is not None:
-            sink.write_record(_as_record(event).as_dict())
+        self._append(event)
+        cone = event.data.get("cone")
+        if cone is not None and cone.refreshed:
+            self._append(
+                AuditRecord(next_seq(), event.ts, MAINTENANCE_BATCH, cone.subject,
+                            event.seq, event.trace, {"cone": cone})
+            )
         return event
 
     def record(self, kind: str, subject: Any = None, **detail: Any) -> AuditRecord:
@@ -210,17 +253,11 @@ class AuditLog:
 
         Hot-path variant of :meth:`record` for call sites already holding
         the causing event: the stamps come straight from it, skipping the
-        cause-stack lookup (and ``_append`` is inlined).
+        cause-stack lookup.
         """
-        record = AuditRecord(
-            next_seq(), _time(), kind, subject, event.seq, event.trace, detail
+        return self._append(
+            AuditRecord(next_seq(), _time(), kind, subject, event.seq, event.trace, detail)
         )
-        self.ring.append(record)
-        self.appended += 1
-        sink = self.sink
-        if sink is not None:
-            sink.write_record(record.as_dict())
-        return record
 
     @contextmanager
     def operation(self, kind: str, subject: Any = None, **detail: Any):
@@ -253,14 +290,16 @@ class AuditLog:
         """
         result: List[AuditRecord] = []
         for item in self.ring:
-            if kind is not None and item.kind != kind:
+            if kind is not None and item.kind != kind and item.kind != MAINTENANCE_BATCH:
                 continue
             if trace is not None and item.trace != trace:
                 continue
-            record = _as_record(item)
-            if subject is not None and not _subject_matches(record, subject):
-                continue
-            result.append(record)
+            for record in _expand(item):
+                if kind is not None and record.kind != kind:
+                    continue
+                if subject is not None and not _subject_matches(record, subject):
+                    continue
+                result.append(record)
         return result
 
     def traces(self) -> List[int]:
@@ -272,7 +311,12 @@ class AuditLog:
 
     def cone(self, trace: int) -> Optional["PropagationCone"]:
         """The reconstructed cone of one trace, or ``None`` if unknown."""
-        records = [_as_record(item) for item in self.ring if item.trace == trace]
+        records = [
+            record
+            for item in self.ring
+            if item.trace == trace
+            for record in _expand(item)
+        ]
         if not records:
             return None
         return PropagationCone(trace, records)
@@ -282,7 +326,7 @@ class AuditLog:
         root record has ``kind``."""
         grouped: Dict[int, List[AuditRecord]] = {}
         for item in self.ring:
-            grouped.setdefault(item.trace, []).append(_as_record(item))
+            grouped.setdefault(item.trace, []).extend(_expand(item))
         cones = [PropagationCone(trace, records) for trace, records in grouped.items()]
         if kind is not None:
             cones = [cone for cone in cones if cone.root.kind == kind]
@@ -312,8 +356,8 @@ class PropagationCone:
     """All audit records of one causal trace — one root mutation's reach.
 
     ``members()`` are the inheritors the ``attribute_updated`` fan-out
-    reached (the batched ``propagation.fanout`` records the tap derives
-    from :func:`~repro.core.inheritance.iter_propagation_depths`);
+    reached (the ``propagation.fanout`` record holding the update's
+    :func:`~repro.core.inheritance.propagation_cone`);
     ``depth`` is the deepest inheritance level reached, ``breadth`` the
     member count, ``by_rel_type`` the per-relationship-type membership and
     ``wall_time`` the span from the root's timestamp to the last record's.
@@ -627,9 +671,7 @@ def explain_value(obj, name: str) -> ValueProvenance:
     if manager is not None:
         for index in manager._by_attr.get(name, ()):
             if obj.surrogate in index._entries:
-                indexes.append(
-                    f"{index.source_kind}:{index.source_name}.{index.attr}"
-                )
+                indexes.append(index.label)
     views: List[str] = []
     view_manager = getattr(database, "views", None)
     if view_manager is not None:

@@ -6,39 +6,42 @@ databases have zero observability subscriptions, and enabling it adds one).
 Every event increments ``events.<kind>``; the kinds that drive the paper's
 update-propagation story get richer treatment:
 
-* ``attribute_updated`` — measures the transitive fan-out of the update
-  through permeable inheritance links (``propagation.fanout`` histogram,
+* ``attribute_updated`` — the transitive fan-out of the update through
+  permeable inheritance links (``propagation.fanout`` histogram,
   ``propagation.fanout_total``, per-relationship-type counters
-  ``propagation.by_rel_type.<name>``);
+  ``propagation.by_rel_type.<name>``), read off the propagation cone the
+  derived-state maintainer walked for this update and handed over on the
+  event (:mod:`repro.query.maintain`) — the tap never walks it again;
 * ``inheritor_bound`` / ``inheritor_unbound`` — per-relationship-type
   binding churn (``inheritance.bound.<name>`` / ``inheritance.unbound.<name>``).
 
-The last ``ring_size`` events are kept in a ring buffer for post-mortem
-inspection (:meth:`EventTap.recent`).
+Counter handles are bound once per event kind and relationship type, so
+the hot path formats no metric names.  The last ``ring_size`` events are
+kept in a ring buffer for post-mortem inspection (:meth:`EventTap.recent`).
 
 When an :class:`~repro.obs.provenance.AuditLog` is wired in (``audit``),
 the tap also forwards every event to it — **through the same single
-subscription** — and, while measuring propagation, appends one batched
-``propagation.fanout`` record per measured update carrying every
-``(link, inheritor, depth)`` arrival, causally linked to the update.  The
-batch reuses the tuples the depth walk already yields (one list append
-per inheritor — no per-inheritor record allocation, which is what keeps
-the audit tax within the E16 budget), and is what lets a
-:class:`~repro.obs.provenance.PropagationCone` be reconstructed per root
-mutation.
+subscription** — and appends one ``propagation.fanout`` record per update
+with inheritors, causally linked to the update, whose ``reached`` detail
+is the cone's own link list (depths are derived when the record is read).
+That is what lets a :class:`~repro.obs.provenance.PropagationCone` be
+reconstructed per root mutation.
 """
 
 from __future__ import annotations
 
+from collections import Counter as _Tally
 from collections import deque
-from time import perf_counter
-from typing import Deque, List, Optional
+from operator import attrgetter
+from typing import Any, Deque, Dict, List, Optional
 
-from ..core.inheritance import iter_propagation, iter_propagation_depths
+from ..core import inheritance as _inheritance
 from ..engine.events import Event, EventBus
-from .metrics import FANOUT_BUCKETS, MetricsRegistry
+from .metrics import FANOUT_BUCKETS, Counter, MetricsRegistry
 
 __all__ = ["EventTap"]
+
+_rel_type_of = attrgetter("rel_type")
 
 
 class EventTap:
@@ -51,94 +54,78 @@ class EventTap:
         ring_size: int = 256,
         track_propagation: bool = True,
         audit=None,
-        slowlog=None,
     ):
         self.bus = bus
         self.metrics = metrics
         self.track_propagation = track_propagation
+        #: Whether updates need a propagation cone from the maintainer.
+        self.measuring = track_propagation
         self.audit = audit
-        self.slowlog = slowlog
         self.ring: Deque[Event] = deque(maxlen=ring_size)
+        #: Bound counter handles: event kind -> ``events.<kind>``, and
+        #: (prefix, relationship type) -> ``<prefix>.<name>``.
+        self._by_kind: Dict[str, Counter] = {}
+        self._by_rel: Dict[Any, Counter] = {}
+        self._generation = metrics.generation
         self._subscription = bus.subscribe(EventBus.WILDCARD, self._on_event)
+
+    def _rel_counter(self, prefix: str, rel_type) -> Counter:
+        counter = self._by_rel.get((prefix, rel_type))
+        if counter is None:
+            counter = self._by_rel[prefix, rel_type] = self.metrics.counter(
+                f"{prefix}.{rel_type.name}"
+            )
+        return counter
 
     # -- handler -----------------------------------------------------------------
 
     def _on_event(self, event: Event) -> None:
         metrics = self.metrics
-        metrics.counter(f"events.{event.kind}").inc()
+        if self._generation != metrics.generation:
+            # The registry was reset: its instruments are new objects.
+            self._by_kind.clear()
+            self._by_rel.clear()
+            self._generation = metrics.generation
+        kind = event.kind
+        counter = self._by_kind.get(kind)
+        if counter is None:
+            counter = self._by_kind[kind] = metrics.counter(f"events.{kind}")
+        counter.inc()
         self.ring.append(event)
         audit = self.audit
         if audit is not None:
             audit.on_event(event)
-        kind = event.kind
         if kind == "attribute_updated":
             metrics.counter("propagation.updates").inc()
             if self.track_propagation:
                 self._measure_propagation(event)
         elif kind == "inheritor_bound":
-            metrics.counter(
-                f"inheritance.bound.{event.data['rel_type'].name}"
-            ).inc()
+            self._rel_counter("inheritance.bound", event.data["rel_type"]).inc()
         elif kind == "inheritor_unbound":
-            metrics.counter(
-                f"inheritance.unbound.{event.data['rel_type'].name}"
-            ).inc()
+            self._rel_counter("inheritance.unbound", event.data["rel_type"]).inc()
 
     def _measure_propagation(self, event: Event) -> None:
         metrics = self.metrics
-        audit = self.audit
-        slowlog = self.slowlog
-        started = perf_counter() if slowlog is not None else 0.0
-        attribute = event.data["attribute"]
-        fanout = 0
-        reached = None
-        if audit is not None:
-            # The depth-annotated walk has the same membership/dedup as
-            # iter_propagation (tested).  The arrivals are batched into
-            # one causally linked record per update, storing the yielded
-            # (link, inheritor, depth) tuples as-is: one list append per
-            # inheritor on top of the measurement walk.
-            reached = []
-            append = reached.append
-            for item in iter_propagation_depths(event.subject, attribute):
-                fanout += 1
-                metrics.counter(
-                    f"propagation.by_rel_type.{item[0].rel_type.name}"
-                ).inc()
-                append(item)
-            if reached:
+        data = event.data
+        cone = data.get("cone")
+        links = (cone.links if cone is not None
+                 else _inheritance.propagation_cone(event.subject, data["attribute"]))
+        fanout = len(links)
+        if fanout:
+            for rel_type, count in _Tally(map(_rel_type_of, links)).items():
+                self._rel_counter("propagation.by_rel_type", rel_type).inc(count)
+            metrics.counter("propagation.updates_with_inheritors").inc()
+            audit = self.audit
+            if audit is not None:
                 audit.event_child(
                     event,
                     "propagation.fanout",
                     subject=event.subject,
-                    attribute=attribute,
-                    reached=reached,
+                    attribute=data["attribute"],
+                    reached=links,
                 )
-        else:
-            for link, _inheritor in iter_propagation(event.subject, attribute):
-                fanout += 1
-                metrics.counter(
-                    f"propagation.by_rel_type.{link.rel_type.name}"
-                ).inc()
         metrics.histogram("propagation.fanout", FANOUT_BUCKETS).observe(fanout)
         metrics.counter("propagation.fanout_total").inc(fanout)
-        if fanout:
-            metrics.counter("propagation.updates_with_inheritors").inc()
-        if slowlog is not None:
-            duration = perf_counter() - started
-            if slowlog.exceeded("propagation", duration):
-                # The cone summary is the diagnosis: how wide and (when the
-                # audit walk annotated depths) how deep the update reached.
-                slowlog.note(
-                    "propagation",
-                    duration,
-                    subject=event.subject,
-                    attribute=attribute,
-                    fanout=fanout,
-                    depth=max((item[2] for item in reached), default=0)
-                    if reached is not None
-                    else None,
-                )
 
     # -- inspection --------------------------------------------------------------
 
@@ -155,6 +142,7 @@ class EventTap:
         if self._subscription is not None:
             self.bus.unsubscribe(self._subscription)
             self._subscription = None
+        self.measuring = False
 
     def __repr__(self) -> str:
         attached = "attached" if self._subscription is not None else "detached"

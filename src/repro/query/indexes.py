@@ -22,25 +22,21 @@ gives the read path sub-linear access paths:
   indexable; the paper's ``select … from Implementations where Length …``
   resolves through transmitter chains and still hits the index.
 
-Maintenance is incremental and event-driven:
+Maintenance is incremental and synchronous:
 
-* extent membership — synchronous hooks from :class:`~repro.engine.storage.Extent`;
-* object lifecycle — synchronous hooks from ``Database._adopt`` /
+* extent membership — hooks from :class:`~repro.engine.storage.Extent`;
+* object lifecycle — hooks from ``Database._adopt`` /
   ``Database._forget_object``;
-* value changes — bus subscriptions to ``attribute_updated`` and
-  ``attribute_restored`` (the latter emitted by transaction abort,
-  version revert-and-reject and merge apply, which write ``_attrs``
-  directly), re-extracting the subject *and its transitive inheritors*
-  (a transmitter update changes the indexed value of everything bound
-  below it);
-* topology changes — ``inheritor_bound`` / ``inheritor_unbound`` refresh
-  the subject's whole downstream subtree in every value index.
+* value and binding changes — the :class:`~repro.query.maintain.Maintainer`,
+  which the core layer calls before emitting each mutation's event,
+  re-extracts the subject and the inheritors of its propagation cone.
 
-On top of the event-driven updates, every index entry records the epoch
-triple of PR 2's resolution engine — the owner's *binding epoch*, the
-resolved *holder* and the holder's *mutation epoch* — and candidates are
-revalidated with integer compares at lookup time (``index.stale_repairs``
-counts the self-heals).  Indexes record the *schema epoch* they were
+On top of that, every index entry records the epoch triple of the
+resolution engine — the owner's *binding epoch*, the resolved *holder*
+and the holder's *mutation epoch* — and candidates are revalidated with
+integer compares at lookup time: a stale entry whose value did not change
+is re-stamped in place, one whose value changed is repaired
+(``index.stale_repairs`` counts those).  Indexes record the *schema epoch* they were
 built under and are dropped and rebuilt lazily after any type definition
 or ``declare_inheritor_in`` (the drop-on-schema-change lifecycle).
 
@@ -144,18 +140,24 @@ class ValueIndex:
         self._entries: Dict[Any, _Entry] = {}
         self._buckets: Dict[Any, Dict[Any, Any]] = {}
         self._unhashable: Dict[Any, Any] = {}
-        #: Sorted (rank, surrogate) pairs for comparable values.  rank is
-        #: (KIND, value); surrogate breaks ties, keeping every element
-        #: totally ordered so bisect insert/remove are exact.
-        self._sorted: List[Tuple[Tuple[int, Any], Any]] = []
+        #: Sorted (rank, surrogate integer, surrogate) triples for
+        #: comparable values.  rank is (KIND, value); the integer breaks
+        #: ties at C speed (the surrogate itself only across identifier
+        #: spaces), keeping every element totally ordered so bisect
+        #: insert/remove are exact.
+        self._sorted: List[Tuple[Tuple[int, Any], int, Any]] = []
         self._kind_counts = [0, 0, 0]
 
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def label(self) -> str:
+        """``kind:source.attr`` — how audit records and EXPLAIN name it."""
+        return f"{self.source_kind}:{self.source_name}.{self.attr}"
+
     def __repr__(self) -> str:
-        return (f"<ValueIndex {self.source_kind}:{self.source_name}"
-                f".{self.attr} n={len(self._entries)}>")
+        return f"<ValueIndex {self.label} n={len(self._entries)}>"
 
     # -- membership maintenance ------------------------------------------------
 
@@ -186,21 +188,24 @@ class ValueIndex:
             kind = KIND_OTHER
         if kind != KIND_OTHER:
             rank = (kind, value)
-            insort(self._sorted, (rank, surrogate))
+            insort(self._sorted, (rank, surrogate.value, surrogate))
         self._kind_counts[kind] += 1
-        # Epoch snapshot: get_member memoised the holder if the name is a
-        # plan entry and the chain consists of plain objects; otherwise
-        # the object itself is the authority.
+        self._entries[surrogate] = _Entry(
+            obj, value, hashable, rank, *self._stamp(obj)
+        )
+
+    def _stamp(self, obj) -> Tuple[int, Any, int]:
+        """The epoch snapshot of a freshly extracted entry: get_member
+        memoised the holder if the name is a plan entry and the chain
+        consists of plain objects; otherwise the object itself is the
+        authority."""
         memo = obj._member_memo.get(self.attr)
         if (memo is not None and memo[0] == _resolution.schema_epoch()
                 and memo[1] == obj._binding_epoch):
             holder = memo[2]
         else:
             holder = obj
-        self._entries[surrogate] = _Entry(
-            obj, value, hashable, rank, obj._binding_epoch, holder,
-            holder._mutation_epoch,
-        )
+        return obj._binding_epoch, holder, holder._mutation_epoch
 
     def remove(self, obj) -> None:
         self._remove_entry(obj.surrogate)
@@ -223,9 +228,10 @@ class ValueIndex:
             self._unhashable.pop(surrogate, None)
             kind = KIND_OTHER
         if entry.rank is not None:
-            position = bisect_left(self._sorted, (entry.rank, surrogate))
+            key = (entry.rank, surrogate.value, surrogate)
+            position = bisect_left(self._sorted, key)
             if (position < len(self._sorted)
-                    and self._sorted[position] == (entry.rank, surrogate)):
+                    and self._sorted[position] == key):
                 del self._sorted[position]
         self._kind_counts[kind] -= 1
 
@@ -292,11 +298,16 @@ class ValueIndex:
         low, high = self._range_bounds(op, key)
         entries = self._entries
         return [entries[surrogate].obj
-                for _, surrogate in self._sorted[low:high]]
+                for _, _, surrogate in self._sorted[low:high]]
 
     def validate(self, candidates: List[Any]) -> None:
         """Self-heal: re-extract any candidate whose epoch snapshot is
-        stale (two integer compares per candidate on the happy path)."""
+        stale (two integer compares per candidate on the happy path).
+
+        The epochs move on writes to *any* member of the holder, so a
+        stale entry whose value is unchanged is only re-stamped; the
+        buckets and sorted array stay as they are and no repair counts.
+        """
         entries = self._entries
         repaired = 0
         for obj in candidates:
@@ -305,13 +316,17 @@ class ValueIndex:
                 continue
             if (entry.binding_epoch != obj._binding_epoch
                     or entry.holder_mutation != entry.holder._mutation_epoch):
+                if not obj._deleted:
+                    value = extract_value(obj, self.attr)
+                    old = entry.value
+                    if value is old or (type(value) is type(old) and value == old):
+                        (entry.binding_epoch, entry.holder,
+                         entry.holder_mutation) = self._stamp(obj)
+                        continue
                 self.refresh_if_tracked(obj)
                 repaired += 1
                 self.manager._audit(
-                    "index.self_heal",
-                    obj,
-                    attribute=self.attr,
-                    index=f"{self.source_kind}:{self.source_name}.{self.attr}",
+                    "index.self_heal", obj, attribute=self.attr, index=self.label
                 )
         if repaired:
             self.manager._bump("index.stale_repairs", repaired)
@@ -350,7 +365,6 @@ class IndexManager:
         self._by_attr: Dict[str, List[ValueIndex]] = {}
         self._class_indexes: Dict[str, List[ValueIndex]] = {}
         self._type_indexes: List[ValueIndex] = []
-        self._subscribed = False
 
     # -- statistics ------------------------------------------------------------
 
@@ -518,7 +532,6 @@ class IndexManager:
         self._value_indexes[(source_kind, source_name, attr)] = index
         self._by_attr.setdefault(attr, []).append(index)
         self._bump("index.built")
-        self._ensure_subscribed()
         return index
 
     def usable_value_index(self, source_kind: str, source_name: str,
@@ -552,68 +565,3 @@ class IndexManager:
         """Drop every value index (they rebuild lazily on next use)."""
         for index in list(self._value_indexes.values()):
             self._drop(index)
-
-    # -- event-driven value maintenance -----------------------------------------
-
-    def _ensure_subscribed(self) -> None:
-        if self._subscribed:
-            return
-        bus = self.database.events
-        bus.subscribe("attribute_updated", self._on_attribute_event)
-        bus.subscribe("attribute_restored", self._on_attribute_event)
-        bus.subscribe("inheritor_bound", self._on_binding_event)
-        bus.subscribe("inheritor_unbound", self._on_binding_event)
-        self._subscribed = True
-
-    @staticmethod
-    def _with_inheritors(obj) -> List[Any]:
-        """``obj`` plus its transitive inheritors (they read through it)."""
-        if not obj._links_as_transmitter:
-            return [obj]
-        targets: List[Any] = []
-        seen = set()
-        stack = [obj]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            targets.append(node)
-            for link in node._links_as_transmitter:
-                stack.append(link.inheritor)
-        return targets
-
-    def _on_attribute_event(self, event) -> None:
-        indexes = self._by_attr.get(event.data.get("attribute"))
-        if not indexes:
-            return
-        for target in self._with_inheritors(event.subject):
-            for index in indexes:
-                if index.refresh_if_tracked(target):
-                    self._bump("index.maintenance")
-                    self._audit(
-                        "index.maintenance",
-                        target,
-                        attribute=index.attr,
-                        index=f"{index.source_kind}:{index.source_name}"
-                        f".{index.attr}",
-                        reason=event.kind,
-                    )
-
-    def _on_binding_event(self, event) -> None:
-        if not self._value_indexes:
-            return
-        # A topology change can re-route any inherited member below the
-        # subject; refresh the subtree in every index.  Binds are rare.
-        for target in self._with_inheritors(event.subject):
-            for index in self._value_indexes.values():
-                if index.refresh_if_tracked(target):
-                    self._bump("index.maintenance")
-                    self._audit(
-                        "index.maintenance",
-                        target,
-                        attribute=index.attr,
-                        index=f"{index.source_kind}:{index.source_name}"
-                        f".{index.attr}",
-                        reason=event.kind,
-                    )

@@ -19,17 +19,13 @@ type extents:
   transmitter chain, with the unresolved-as-literal label convention.
 
 * :class:`ViewManager` — attached as ``Database.views``; builds views
-  lazily when the planner routes to them and maintains them
-  **incrementally** off the same event stream and epochs the
-  :class:`~repro.query.indexes.IndexManager` validates against:
+  lazily when the planner routes to them and keeps them current
+  **incrementally**:
 
-  - ``attribute_updated`` / ``attribute_restored`` (txn abort, version
-    revert, merge apply) re-extract the named column for the subject
-    *and its transitive inheritors*;
-  - ``inheritor_bound`` / ``inheritor_unbound`` re-extract the whole row
-    of everything in the subject's downstream subtree;
-  - ``subobject_added``/``…_removed`` and ``relationship_created``/
-    ``…_removed`` re-extract inherited *container* cells the same way;
+  - the :class:`~repro.query.maintain.Maintainer` re-extracts the changed
+    member's cells (attribute writes and restores, container content)
+    along the mutation's propagation cone, and whole rows below a bind
+    or unbind — after the value indexes, before any bus handler;
   - adopt/forget hooks add and drop rows synchronously;
   - a **schema-epoch bump** invalidates the view as a whole; the next
     routing rebuilds it lazily (the ``query.view.staleness`` counter and
@@ -61,7 +57,6 @@ from ..core import resolution as _resolution
 from ..errors import UnknownAttributeError
 from ..expr.ast import Binary, Name, Node, Path, Unary
 from ..expr.compile import _Codegen
-from .indexes import IndexManager
 
 __all__ = ["TypeView", "ViewManager", "view_eligible_names"]
 
@@ -77,8 +72,6 @@ TSAN: Any = None
 #: live member lists per object and stay on the live path — the REP505
 #: advisory names them.
 _ELIGIBLE_KINDS = ("attribute", "inherited")
-
-_with_inheritors = IndexManager._with_inheritors
 
 
 def view_eligible_names(plan: Any) -> List[str]:
@@ -332,7 +325,6 @@ class ViewManager:
             "query.view.staleness": 0,
         }
         self._views: Dict[Any, TypeView] = {}
-        self._subscribed = False
 
     # -- statistics ------------------------------------------------------------
 
@@ -392,7 +384,6 @@ class ViewManager:
             if not obj._deleted:
                 view.add(obj)
         self._views[type_] = view
-        self._ensure_subscribed()
         return view
 
     def drop_views(self) -> None:
@@ -489,72 +480,3 @@ class ViewManager:
         view = self._views.get(obj.object_type)
         if view is not None:
             view.remove(obj)
-
-    # -- event-driven maintenance ----------------------------------------------
-
-    def _ensure_subscribed(self) -> None:
-        if self._subscribed:
-            return
-        bus = self.database.events
-        bus.subscribe("attribute_updated", self._on_attribute_event)
-        bus.subscribe("attribute_restored", self._on_attribute_event)
-        bus.subscribe("inheritor_bound", self._on_binding_event)
-        bus.subscribe("inheritor_unbound", self._on_binding_event)
-        bus.subscribe("subobject_added", self._on_container_event)
-        bus.subscribe("subobject_removed", self._on_container_event)
-        bus.subscribe("relationship_created", self._on_container_event)
-        bus.subscribe("relationship_removed", self._on_container_event)
-        self._subscribed = True
-
-    def _refresh_member_event(self, event: Any, name: str) -> None:
-        epoch = _resolution.schema_epoch()
-        for target in _with_inheritors(event.subject):
-            view = self._views.get(target.object_type)
-            if view is None or view.schema_epoch != epoch:
-                continue
-            if target._deleted:
-                view.remove(target)
-                continue
-            if view.refresh_member(target, name):
-                self._bump("query.view.refreshes")
-                self._audit(
-                    "view.maintenance", target, attribute=name,
-                    view=view.type.name, reason=event.kind,
-                )
-
-    def _on_attribute_event(self, event: Any) -> None:
-        if not self._views:
-            return
-        name = event.data.get("attribute")
-        if name is not None:
-            self._refresh_member_event(event, name)
-
-    def _on_container_event(self, event: Any) -> None:
-        if not self._views:
-            return
-        # Local containers emit with the member name under "subclass"
-        # (subobjects) or "subrel" (local relationships); top-level
-        # relationship events carry neither and touch no view cell.
-        name = event.data.get("subclass") or event.data.get("subrel")
-        if name is not None:
-            self._refresh_member_event(event, name)
-
-    def _on_binding_event(self, event: Any) -> None:
-        if not self._views:
-            return
-        # A topology change can re-route every inherited member below the
-        # subject: re-extract whole rows for the downstream subtree.
-        epoch = _resolution.schema_epoch()
-        for target in _with_inheritors(event.subject):
-            view = self._views.get(target.object_type)
-            if view is None or view.schema_epoch != epoch:
-                continue
-            if target._deleted:
-                view.remove(target)
-                continue
-            if view.refresh_object(target):
-                self._bump("query.view.refreshes")
-                self._audit(
-                    "view.maintenance", target, view=view.type.name,
-                    reason=event.kind,
-                )

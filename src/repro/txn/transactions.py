@@ -280,9 +280,9 @@ class Transaction:
             else:
                 obj._attrs.pop(attribute, None)
             obj._mutation_epoch += 1
-            # The restore bypasses set_attribute; value indexes listen for
-            # this to re-extract the rolled-back value.
-            obj._emit("attribute_restored", attribute=attribute)
+            # The restore bypasses set_attribute; publishing it lets the
+            # maintainer re-extract the rolled-back value.
+            obj._publish("attribute_restored", attribute, attribute=attribute)
         self._undo.clear()
 
     def checkin(self) -> None:

@@ -147,8 +147,8 @@ def merge_versions(
         owner._attrs[attribute] = entry.new
         owner._mutation_epoch += 1
         # Direct _attrs write (the state guard would veto set_attribute on
-        # released versions); value indexes listen for the restore event.
-        owner._emit("attribute_restored", attribute=attribute)
+        # released versions); publishing the restore maintains indexes.
+        owner._publish("attribute_restored", attribute, attribute=attribute)
         applied.append(entry)
 
     graph.derive(left, merged, state=state)

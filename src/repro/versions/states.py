@@ -135,9 +135,11 @@ class StateGuard:
         else:
             subject._attrs[event.attribute] = event.old
         subject._mutation_epoch += 1
-        # Emit before raising: the exception skips any handler still
-        # queued for the original event, including index maintenance.
-        subject._emit("attribute_restored", attribute=event.attribute)
+        # Publish before raising: derived state already holds the
+        # rejected value, and the restore puts the old one back.
+        subject._publish(
+            "attribute_restored", event.attribute, attribute=event.attribute
+        )
         raise VersionError(
             f"{guarded!r} is {state} and must not be updated; derive a new "
             f"version instead"

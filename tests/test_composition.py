@@ -253,6 +253,27 @@ class TestBaselines:
         iface.set_attribute("Length", 99)
         assert twin["Length"] == 10  # detached
 
+    def test_clone_copies_subobjects_of_local_relationships(self):
+        from repro.engine.integrity import check_integrity, sweep_constraints
+        from repro.versions.diff import derive_version
+        from repro.versions.graph import VersionGraph
+        from repro.workloads.steel import generate_structure, steel_database
+
+        steel = steel_database("clone-screwings")
+        top, _ = generate_structure(steel)
+        graph = VersionGraph(top)
+        graph.add_version(top)
+        derived = derive_version(graph, top)
+        screwings = [
+            rel for name in derived.subrel_names() for rel in derived.subrel(name)
+        ]
+        assert screwings
+        for screwing in screwings:
+            assert len(screwing.subclass("Bolt")) == 1
+            assert len(screwing.subclass("Nut")) == 1
+        assert sweep_constraints(steel) == []
+        assert check_integrity(steel) == []
+
     def test_clone_remaps_local_relationship_participants(self, db):
         gate = db.create_object("Gate")
         a = gate.subclass("Pins").create(InOut="IN")

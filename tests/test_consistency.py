@@ -105,6 +105,36 @@ class TestAdaptationTracker:
         remaining = tracker.pending(impl)
         assert len(remaining) == 1 and remaining[0].member == "Width"
 
+    def test_review_leaves_no_records_behind(self, db, tracker):
+        iface, impl = make_pair(db)
+        others = [
+            db.create_object("GateImplementation", transmitter=iface)
+            for _ in range(3)
+        ]
+        for length in (11, 12, 13):
+            iface.set_attribute("Length", length)
+        worklist = tracker.inheritors_needing_adaptation()
+        assert {o.surrogate for o in worklist} == {
+            o.surrogate for o in [impl, *others]
+        }
+        for inheritor in worklist:
+            assert tracker.acknowledge(inheritor) == 3
+        assert sum(len(records) for records in tracker._records.values()) == 0
+        assert tracker.inheritors_needing_adaptation() == []
+        assert not tracker.needs_adaptation(impl)
+        iface.set_attribute("Width", 6)
+        assert [r.member for r in tracker.pending(impl)] == ["Width"]
+        assert tracker.needs_adaptation(impl.inheritance_links[0])
+
+    def test_directly_acknowledged_records_are_dropped(self, db, tracker):
+        iface, impl = make_pair(db)
+        iface.set_attribute("Length", 11)
+        iface.set_attribute("Width", 12)
+        first, second = tracker.all_pending()
+        first.acknowledged = True  # as an auto-adapt trigger does
+        assert tracker.pending(impl) == [second]
+        assert sum(len(records) for records in tracker._records.values()) == 1
+
     def test_records_ordered_by_sequence(self, db, tracker):
         iface, impl = make_pair(db)
         iface.set_attribute("Length", 11)

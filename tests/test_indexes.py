@@ -7,15 +7,16 @@ match the original full-registry scan kept as
 ``Database.naive_objects_of_type``.  The hypothesis property drives
 randomized schemas and mutation scripts — attribute writes, binds,
 unbinds, deletes, transaction aborts, version revert-and-reject,
-``declare_inheritor_in`` rebinds — with indexes built early so the
-incremental maintenance path (not a fresh build) is what answers.
+``declare_inheritor_in`` rebinds, subobject and local-relationship
+container changes, over a relationship that hides a written member —
+with indexes built early so the incremental maintenance path (not a
+fresh build) is what answers.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.attributes import AttributeSpec
 from repro.core.domains import ANY
 from repro.core.inheritance import InheritanceRelationshipType
 from repro.core.objtype import ObjectType
@@ -24,6 +25,14 @@ from repro.errors import ReproError, VersionError
 from repro.query import run_query
 from repro.txn.transactions import TransactionManager
 from repro.versions.states import StateGuard
+
+from .derived_world import (
+    STRUCTURAL_ACTIONS,
+    assert_derived_state_fresh,
+    make_schema,
+    seed_chain,
+    structural_step,
+)
 
 _counter = [0]
 
@@ -76,39 +85,35 @@ BETA_VALUES = (0, 1, 2, 3, 4, 5)
 
 
 def _make_world():
-    """Base/Sub types (Sub conforms via inheritor-in), one class, one db."""
-    base = ObjectType(
-        _uname("Base"),
-        attributes={"alpha": ANY, "beta": AttributeSpec("beta", ANY, default=0)},
-    )
-    rel = InheritanceRelationshipType(
-        _uname("AllOfBase"), transmitter_type=base, inheriting=["alpha"]
-    )
-    sub = ObjectType(_uname("Sub"))
-    sub.declare_inheritor_in(rel)
+    """The shared Base/Sub/Leaf world (see ``derived_world``), one class."""
+    world = make_schema(_uname)
     db = Database(_uname("db"))
     db.indexes.min_index_source = 0
-    db.catalog.register(base)
-    db.catalog.register(sub)
-    db.create_class("Things", base)
-    return db, base, sub, rel
+    for type_ in (world.base, world.sub, world.leaf):
+        db.catalog.register(type_)
+    db.create_class("Things", world.base)
+    return db, world
 
 
-def _battery(db, base, sub):
+def _battery(db, world):
     queries = [
         "select * from Things where alpha = 2",
         "select * from Things where alpha = 'x'",
         "select alpha, beta from Things where beta > 2",
         "select * from Things where alpha = 1 and beta >= 1",
+        "select * from Things where beta = 2",
+        "select * from Things where Parts = 0",
         "select distinct alpha from Things",
         "select alpha from Things where beta <= 3 order by beta desc limit 2",
-        f"select * from {base.name} where alpha = 3",
-        f"select * from {sub.name} where alpha = 0",
+        f"select * from {world.base.name} where alpha = 3",
+        f"select * from {world.sub.name} where alpha = 0",
+        f"select * from {world.leaf.name} where beta = 1",
     ]
     for text in queries:
         assert_queries_agree(db, text)
-    assert_type_index_agrees(db, base)
-    assert_type_index_agrees(db, sub)
+    for type_ in (world.base, world.sub, world.leaf):
+        assert_type_index_agrees(db, type_)
+    assert_derived_state_fresh(db)
 
 
 action = st.one_of(
@@ -127,13 +132,15 @@ action = st.one_of(
     st.tuples(st.just("revert"), st.integers(0, 20),
               st.sampled_from(BETA_VALUES)),
     st.tuples(st.just("declare_rebind"), st.integers(0, 20), st.integers(0, 20)),
+    *STRUCTURAL_ACTIONS,
 )
 
 
 @settings(max_examples=40, deadline=None)
 @given(actions=st.lists(action, min_size=1, max_size=12))
 def test_planner_matches_full_scan_oracle(actions):
-    db, base, sub, rel = _make_world()
+    db, world = _make_world()
+    base, sub, rel = world.base, world.sub, world.rel
     txns = TransactionManager(db)
     guard = StateGuard(db)
     objs = []
@@ -141,9 +148,10 @@ def test_planner_matches_full_scan_oracle(actions):
         objs.append(
             db.create_object(base, class_name="Things", alpha=value, beta=1)
         )
+    objs += seed_chain(db, world, objs[0])
     # Prime the value indexes now so the script below exercises the
     # incremental maintenance path, not a fresh build at query time.
-    _battery(db, base, sub)
+    _battery(db, world)
 
     def pick(i):
         return objs[i % len(objs)] if objs else None
@@ -171,9 +179,12 @@ def test_planner_matches_full_scan_oracle(actions):
                 inheritor, transmitter = pick(step[1]), pick(step[2])
                 if inheritor.object_type is sub and transmitter.object_type is base:
                     db.bind(inheritor, transmitter, rel)
+                elif (inheritor.object_type is world.leaf
+                      and transmitter.object_type is sub):
+                    db.bind(inheritor, transmitter, world.leaf_rel)
             elif kind == "unbind":
                 obj = pick(step[1])
-                link = obj.link_for(rel)
+                link = obj.link_for(rel) or obj.link_for(world.leaf_rel)
                 if link is not None:
                     link.unbind()
             elif kind == "delete":
@@ -201,16 +212,19 @@ def test_planner_matches_full_scan_oracle(actions):
                 inheritor, transmitter = pick(step[1]), pick(step[2])
                 if inheritor.object_type is sub and transmitter.object_type is base:
                     db.bind(inheritor, transmitter, new_rel)
+            else:
+                structural_step(db, world, objs, pick, step)
         except ReproError:
             # Illegal scripts (double bind, write-through-link, inherited
             # shadowing, …) are fine: the engine rejected them on both
             # sides of the comparison identically.
             pass
-        # One cheap agreement probe per step catches staleness at the
-        # moment it appears, not only at the end.
+        # Cheap agreement probes per step catch staleness at the moment it
+        # appears, not only at the end.
         assert_queries_agree(db, "select * from Things where alpha = 1")
+        assert_derived_state_fresh(db)
 
-    _battery(db, base, sub)
+    _battery(db, world)
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +502,160 @@ def test_cli_query_explain(tmp_path, capsys):
     assert "access:" in out
     assert "estimated=" in out
     assert "(1 row(s))" in out
+
+
+# ---------------------------------------------------------------------------
+# the derived-state maintainer (repro.query.maintain)
+# ---------------------------------------------------------------------------
+
+
+def _gate_world(n_impls=5, observe=False):
+    from repro.ddl.paper import load_gate_schema
+
+    db = Database(_uname("cone"), observe=observe)
+    load_gate_schema(db.catalog)
+    db.indexes.min_index_source = 0
+    impl_type = db.catalog.type("GateImplementation")
+    iface = db.create_object("GateInterface", Length=10, Width=5)
+    impls = [db.create_object(impl_type, transmitter=iface) for _ in range(n_impls)]
+    return db, iface, impls, impl_type
+
+
+@pytest.fixture
+def cone_walks(monkeypatch):
+    """Every propagation-cone walk, as its arguments."""
+    from repro.core import inheritance
+
+    walks = []
+    walk = inheritance.propagation_cone
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(inheritance, "propagation_cone", counted)
+    return walks
+
+
+def test_observed_update_walks_its_cone_once(cone_walks):
+    db, iface, impls, impl_type = _gate_world(observe=True)
+    db.indexes.ensure_value_index("type", impl_type.name, impl_type, "Length")
+    assert db.views.view_for(impl_type) is not None
+    maintenance = db.indexes.stats["index.maintenance"]
+    refreshes = db.views.stats["query.view.refreshes"]
+    del cone_walks[:]
+    iface.set_attribute("Length", 42)
+    assert cone_walks == [(iface, "Length")]
+    # Counted once per mutation, by the batch size: one entry and one
+    # view cell per implementation.
+    assert db.indexes.stats["index.maintenance"] == maintenance + len(impls)
+    assert db.views.stats["query.view.refreshes"] == refreshes + len(impls)
+    assert db.obs.metrics.value("propagation.fanout_total") >= len(impls)
+    assert_queries_agree(db, f"select * from {impl_type.name} where Length = 42")
+
+
+def test_update_without_consumers_walks_no_cone(cone_walks):
+    db, iface, impls, impl_type = _gate_world(observe=False)
+    # An index on another member is no consumer of a Length update.
+    db.indexes.ensure_value_index("type", impl_type.name, impl_type, "TimeBehavior")
+    del cone_walks[:]
+    iface.set_attribute("Length", 42)
+    impls[0].set_attribute("TimeBehavior", 3)
+    assert cone_walks == [(impls[0], "TimeBehavior")]
+    del cone_walks[:]
+    iface.set_attribute("Width", 7)
+    assert cone_walks == []
+
+
+def test_container_change_refreshes_inherited_container_entries():
+    db, iface, impls, impl_type = _gate_world()
+    index = db.indexes.ensure_value_index("type", impl_type.name, impl_type, "Pins")
+    maintenance = db.indexes.stats["index.maintenance"]
+    iface.subclass("Pins").create(InOut="IN")
+    assert db.indexes.stats["index.maintenance"] == maintenance + len(impls)
+    repairs = db.indexes.stats["index.stale_repairs"]
+    index.validate(impls)
+    assert db.indexes.stats["index.stale_repairs"] == repairs
+    assert all(len(index._entries[o.surrogate].value) == 1 for o in impls)
+
+
+def test_raising_handler_cannot_leave_derived_state_stale():
+    db, iface, impls, impl_type = _gate_world()
+
+    def veto(event):
+        raise ReproError("handler failed")
+
+    # Subscribed before the index and view exist: no subscription order
+    # may decide whether they are maintained.
+    db.events.subscribe("attribute_updated", veto)
+    index = db.indexes.ensure_value_index("type", impl_type.name, impl_type, "Length")
+    view = db.views.view_for(impl_type)
+    with pytest.raises(ReproError):
+        iface.set_attribute("Length", 31)
+    for impl in impls:
+        assert index._entries[impl.surrogate].value == 31
+        assert view.columns[view.col_of["Length"]][view.row_of[impl.surrogate]] == 31
+
+
+GATE_USE_DDL = """
+obj-type GateUse =
+    inheritor-in: SomeOf_Gate;
+    attributes:
+        UseLocation: Point;
+end GateUse;
+"""
+
+
+def test_unchanged_values_are_restamped_not_repaired():
+    from repro.ddl import load_schema
+    from repro.ddl.paper import load_gate_schema
+
+    db = Database(_uname("uses"))
+    load_gate_schema(db.catalog)
+    load_schema(GATE_USE_DDL, db.catalog)
+    db.indexes.min_index_source = 0
+    iface = db.create_object("GateInterface", Length=10, Width=5)
+    impl = db.create_object("GateImplementation", transmitter=iface, TimeBehavior=7)
+    other = db.create_object("GateImplementation", transmitter=iface, TimeBehavior=8)
+    uses = [db.create_object("GateUse", transmitter=impl) for _ in range(9)]
+    db.create_object("GateUse", transmitter=other)
+    text = "select * from GateUse where TimeBehavior = 7"
+    before = run_query(db, text)
+    assert before.plan.access_path == "index-eq"
+    repairs = db.indexes.stats["index.stale_repairs"]
+    # Function is not even visible through SomeOf_Gate, but the write
+    # moves the implementation's mutation epoch under all nine entries.
+    impl.set_attribute("Function", [[True, False]])
+    after = run_query(db, text)
+    assert db.indexes.stats["index.stale_repairs"] == repairs
+    assert [o.surrogate for o in after.objects] == [o.surrogate for o in uses]
+    assert after.rows == before.rows
+    # A value that did change behind the index's back is still repaired.
+    impl._attrs["TimeBehavior"] = 9
+    impl._mutation_epoch += 1
+    assert run_query(db, text).rows == []
+    assert len(run_query(db, "select * from GateUse where TimeBehavior = 9").rows) == 9
+    assert db.indexes.stats["index.stale_repairs"] > repairs
+    assert_queries_agree(db, text)
+
+
+def test_sorted_ties_break_without_surrogate_compares(parts_db, monkeypatch):
+    from repro.core.surrogate import Surrogate
+
+    compares = []
+    for name in ("__eq__", "__lt__", "__gt__", "__le__", "__ge__"):
+        original = getattr(Surrogate, name)
+
+        def counted(self, other, _original=original):
+            compares.append(1)
+            return _original(self, other)
+
+        monkeypatch.setattr(Surrogate, name, counted)
+    # Ten parts per category: every insert ties on rank.
+    run_query(parts_db, "select * from Parts where Category > 'cat_2'")
+    for obj in parts_db.class_("Parts").members()[:20]:
+        obj.set_attribute("Category", "cat_9")
+    result = run_query(parts_db, "select * from Parts where Category >= 'cat_9'")
+    assert result.plan.access_path == "index-range"
+    assert len(result.rows) == 20
+    assert compares == []

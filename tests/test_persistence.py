@@ -150,6 +150,19 @@ class TestImageValidation:
         with pytest.raises(PersistenceError):
             load(str(path), fresh)
 
+    def test_image_is_compact_and_indented_images_still_load(self, tmp_path):
+        db, iface, impl, _ = populated_db()
+        path = tmp_path / "image.json"
+        save(db, str(path))
+        text = path.read_text()
+        assert "\n" not in text and ", " not in text
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(text), indent=1))
+        fresh = build_gate_database("persist")
+        load(str(indented), fresh)
+        assert fresh.count() == db.count()
+        assert fresh.get(impl.surrogate)["Length"] == 40
+
     def test_image_is_plain_json(self, tmp_path):
         db, *_ = populated_db()
         path = str(tmp_path / "image.json")

@@ -351,6 +351,54 @@ class TestPropagationCones:
         assert maintenance[-1].cause == updates[-1].seq
         assert maintenance[-1].detail["index"] == "class:Faces.Length"
 
+    def test_maintenance_is_one_batched_record_read_per_target(self, db):
+        iface = make_interface(db)
+        impls = [make_implementation(db, iface) for _ in range(4)]
+        impl_type = impls[0].object_type
+        db.indexes.ensure_value_index("type", impl_type.name, impl_type, "Length")
+        db.views.min_view_source = 0
+        assert db.views.view_for(impl_type) is not None
+        audit = db.obs.audit
+        before = audit.appended
+        iface.set_attribute("Length", 77)
+        # The event, its fan-out and one maintenance batch.
+        assert audit.appended - before == 3
+        (update,) = [
+            r for r in audit.records(kind="attribute_updated", subject=iface)
+            if r.detail["new"] == 77
+        ]
+        assert "cone" not in update.detail
+        assert "cone" not in update.as_dict()["detail"]
+        for kind in ("index.maintenance", "view.maintenance"):
+            expanded = audit.records(kind=kind, trace=update.trace)
+            assert [r.subject for r in expanded] == impls
+            assert all(r.cause == update.seq for r in expanded)
+        view_record = audit.records(kind="view.maintenance", subject=impls[0])[-1]
+        assert view_record.detail == {
+            "attribute": "Length",
+            "view": impl_type.name,
+            "reason": "attribute_updated",
+        }
+
+    def test_jsonl_sink_expands_maintenance_batches(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        db = Database("sink-batch")
+        db.enable_observability(audit_sink=str(path))
+        load_gate_schema(db.catalog)
+        iface = make_interface(db)
+        impls = [make_implementation(db, iface) for _ in range(3)]
+        impl_type = impls[0].object_type
+        db.indexes.ensure_value_index("type", impl_type.name, impl_type, "Length")
+        iface.set_attribute("Length", 12)
+        db.obs.audit.close()
+        kinds = [
+            json.loads(line)["kind"]
+            for line in path.read_text().splitlines()
+            if line.strip()
+        ]
+        assert kinds.count("index.maintenance") == 3
+        assert "maintenance.batch" not in kinds
+
 
 # ---------------------------------------------------------------------------
 # explain_value

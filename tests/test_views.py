@@ -6,8 +6,10 @@ the raised exception — to the live resolution path
 (``run_query(..., views=False)``).  The hypothesis property drives
 randomized mutation scripts (attribute writes, binds, unbinds, deletes,
 transaction aborts, version revert-and-reject, ``declare_inheritor_in``
-rebinds) with the view built *early*, so incremental maintenance — not a
-fresh build at query time — is what answers.
+rebinds, subobject and local-relationship container changes, over a
+relationship that hides a written member) with the view built *early*,
+so incremental maintenance — not a fresh build at query time — is what
+answers.
 
 Deterministic tests pin the surfaces: the ``view`` access path in
 EXPLAIN, the ``query.view.*`` counter family, staleness rebuilds on
@@ -19,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.attributes import AttributeSpec
 from repro.core.domains import ANY
 from repro.core.inheritance import InheritanceRelationshipType
 from repro.core.objtype import ObjectType
@@ -28,6 +29,14 @@ from repro.errors import ReproError, VersionError
 from repro.query import run_query
 from repro.txn.transactions import TransactionManager
 from repro.versions.states import StateGuard
+
+from .derived_world import (
+    STRUCTURAL_ACTIONS,
+    assert_derived_state_fresh,
+    make_schema,
+    seed_chain,
+    structural_step,
+)
 
 _counter = [0]
 
@@ -68,26 +77,20 @@ BETA_VALUES = (0, 1, 2, 3, 4, 5)
 
 
 def _make_world():
-    """Base/Sub types (Sub inherits alpha), one class, one view-only db."""
-    base = ObjectType(
-        _uname("Base"),
-        attributes={"alpha": ANY, "beta": AttributeSpec("beta", ANY, default=0)},
-    )
-    rel = InheritanceRelationshipType(
-        _uname("AllOfBase"), transmitter_type=base, inheriting=["alpha"]
-    )
-    sub = ObjectType(_uname("Sub"))
-    sub.declare_inheritor_in(rel)
+    """The shared Base/Sub/Leaf world (see ``derived_world``), one class,
+    one view-only db."""
+    world = make_schema(_uname)
     db = Database(_uname("db"))
     db.indexes.auto = False  # isolate the view path from index routing
     db.views.min_view_source = 0
-    db.catalog.register(base)
-    db.catalog.register(sub)
-    db.create_class("Things", base)
-    return db, base, sub, rel
+    for type_ in (world.base, world.sub, world.leaf):
+        db.catalog.register(type_)
+    db.create_class("Things", world.base)
+    return db, world
 
 
-def _battery(db, base, sub):
+def _battery(db, world):
+    base, sub, leaf = world.base, world.sub, world.leaf
     for text in (
         "select * from Things where alpha = 2",
         "select alpha, beta from Things where beta > 2",
@@ -95,8 +98,10 @@ def _battery(db, base, sub):
         f"select * from {base.name} where alpha = 3",
         f"select * from {sub.name} where alpha = 0",
         f"select * from {sub.name} where alpha > 1",
+        f"select * from {leaf.name} where alpha = 1 or beta = 2",
     ):
         assert_view_queries_agree(db, text)
+    assert_derived_state_fresh(db)
 
 
 action = st.one_of(
@@ -115,13 +120,15 @@ action = st.one_of(
     st.tuples(st.just("revert"), st.integers(0, 20),
               st.sampled_from(BETA_VALUES)),
     st.tuples(st.just("declare_rebind"), st.integers(0, 20), st.integers(0, 20)),
+    *STRUCTURAL_ACTIONS,
 )
 
 
 @settings(max_examples=40, deadline=None)
 @given(actions=st.lists(action, min_size=1, max_size=12))
 def test_views_match_live_resolution_oracle(actions):
-    db, base, sub, rel = _make_world()
+    db, world = _make_world()
+    base, sub, rel = world.base, world.sub, world.rel
     txns = TransactionManager(db)
     guard = StateGuard(db)
     objs = []
@@ -129,9 +136,10 @@ def test_views_match_live_resolution_oracle(actions):
         objs.append(
             db.create_object(base, class_name="Things", alpha=value, beta=1)
         )
+    objs += seed_chain(db, world, objs[0])
     # Prime the views now so the script below exercises the incremental
     # maintenance path, not a fresh build at query time.
-    _battery(db, base, sub)
+    _battery(db, world)
 
     def pick(i):
         return objs[i % len(objs)] if objs else None
@@ -161,9 +169,12 @@ def test_views_match_live_resolution_oracle(actions):
                 inheritor, transmitter = pick(step[1]), pick(step[2])
                 if inheritor.object_type is sub and transmitter.object_type is base:
                     db.bind(inheritor, transmitter, rel)
+                elif (inheritor.object_type is world.leaf
+                      and transmitter.object_type is sub):
+                    db.bind(inheritor, transmitter, world.leaf_rel)
             elif kind == "unbind":
                 obj = pick(step[1])
-                link = obj.link_for(rel)
+                link = obj.link_for(rel) or obj.link_for(world.leaf_rel)
                 if link is not None:
                     link.unbind()
             elif kind == "delete":
@@ -191,15 +202,18 @@ def test_views_match_live_resolution_oracle(actions):
                 inheritor, transmitter = pick(step[1]), pick(step[2])
                 if inheritor.object_type is sub and transmitter.object_type is base:
                     db.bind(inheritor, transmitter, new_rel)
+            else:
+                structural_step(db, world, objs, pick, step)
         except ReproError:
             # Illegal scripts (double bind, write-through-link, …) are
             # fine: the engine rejected them before either path ran.
             pass
-        # One agreement probe per step catches staleness at the moment it
+        # Agreement probes per step catch staleness at the moment it
         # appears, not only at the end.
         assert_view_queries_agree(db, f"select * from {sub.name} where alpha = 1")
+        assert_derived_state_fresh(db)
 
-    _battery(db, base, sub)
+    _battery(db, world)
 
 
 # ---------------------------------------------------------------------------
