@@ -58,8 +58,6 @@ class EventTap:
         self.bus = bus
         self.metrics = metrics
         self.track_propagation = track_propagation
-        #: Whether updates need a propagation cone from the maintainer.
-        self.measuring = track_propagation
         self.audit = audit
         self.ring: Deque[Event] = deque(maxlen=ring_size)
         #: Bound counter handles: event kind -> ``events.<kind>``, and
@@ -142,7 +140,6 @@ class EventTap:
         if self._subscription is not None:
             self.bus.unsubscribe(self._subscription)
             self._subscription = None
-        self.measuring = False
 
     def __repr__(self) -> str:
         attached = "attached" if self._subscription is not None else "detached"

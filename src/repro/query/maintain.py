@@ -63,7 +63,7 @@ class Maintainer:
         views = self.views._views
         obs = self.database.obs
         if not (indexes or views or (
-                obs is not None and obs.tap.measuring
+                obs is not None and obs.tap.track_propagation
                 and reason == "attribute_updated")):
             return None
         slowlog = obs.slowlog if obs is not None else None
