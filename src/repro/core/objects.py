@@ -141,9 +141,10 @@ class DBObject:
         self._member_memo: Dict[str, Any] = {}
         if database is not None and hasattr(database, "_adopt"):
             database._adopt(self)
-        for name, spec in object_type.effective_subclasses().items():
+        plan = _resolution.plan_for(object_type)
+        for name, spec in plan.subclass_specs:
             self._subclasses[name] = LocalSubclass(self, spec)
-        for name, spec in object_type.effective_subrels().items():
+        for name, spec in plan.subrel_specs:
             self._subrels[name] = LocalRelClass(self, spec)
 
     # -- basic state ----------------------------------------------------------

@@ -15,10 +15,8 @@ attribute values are re-validated against their domains on load.
 
 from __future__ import annotations
 
-import gc
 import json
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..core.domains import RecordValue
 from ..core.objects import DBObject, InheritanceLink, RelationshipObject
@@ -171,36 +169,12 @@ def _restore_container(obj: DBObject, ref, by_surrogate) -> None:
     container._members[obj.surrogate] = obj
 
 
-@contextmanager
-def _prior_heap_frozen() -> Iterator[None]:
-    """Keep the cyclic collector's full passes off the rest of the heap
-    during a bulk load.
-
-    A load adds one large object graph and touches nothing else, yet a
-    full collection triggered by its allocations scans the whole heap,
-    and how many run depends on how much else the heap holds.  Freezing
-    the objects that existed before the load leaves the collector running
-    over the new objects only.  (Objects frozen by someone else would be
-    thawed too, so an existing freeze is left alone.)
-    """
-    if gc.get_freeze_count():
-        yield
-        return
-    gc.freeze()
-    try:
-        yield
-    finally:
-        gc.unfreeze()
-
-
 def load_image(image: Dict[str, Any], db: Database) -> Database:
     """Materialise an image into ``db`` (schema must already be loaded)."""
     obs = getattr(db, "obs", None)
     if obs is None:
-        with _prior_heap_frozen():
-            return _load_image(image, db)
-    with obs.tracer.span("persistence.load", objects=len(image.get("objects", ()))), \
-            _prior_heap_frozen():
+        return _load_image(image, db)
+    with obs.tracer.span("persistence.load", objects=len(image.get("objects", ()))):
         result = _load_image(image, db)
     obs.metrics.counter("persistence.loads").inc()
     obs.metrics.counter("persistence.objects_loaded").inc(db.count())
@@ -300,13 +274,12 @@ def _load_image(image: Dict[str, Any], db: Database) -> Database:
 
 def load(path: str, db: Database) -> Database:
     """Load a JSON image from ``path`` into ``db``."""
-    with _prior_heap_frozen():
-        try:
-            with open(path) as f:
-                image = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PersistenceError(f"cannot read image {path!r}: {exc}") from exc
-        try:
-            return load_image(image, db)
-        except (KeyError, UnknownTypeError) as exc:
-            raise PersistenceError(f"image {path!r} is inconsistent: {exc}") from exc
+    try:
+        with open(path) as f:
+            image = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise PersistenceError(f"cannot read image {path!r}: {exc}") from exc
+    try:
+        return load_image(image, db)
+    except (KeyError, UnknownTypeError) as exc:
+        raise PersistenceError(f"image {path!r} is inconsistent: {exc}") from exc
