@@ -221,8 +221,6 @@ class ResolutionPlan:
         "attribute_names",
         "inherited_names",
         "permeable_sets",
-        "subclass_specs",
-        "subrel_specs",
     )
 
     def __init__(self, type_) -> None:
@@ -247,14 +245,6 @@ class ResolutionPlan:
         effective_subrels = {
             intern_name(n): spec for n, spec in type_.effective_subrels().items()
         }
-        #: ``(name, spec)`` of every local container an instance carries,
-        #: in declaration order (read per object construction).
-        self.subclass_specs: Tuple[Tuple[str, Any], ...] = tuple(
-            effective_subclasses.items()
-        )
-        self.subrel_specs: Tuple[Tuple[str, Any], ...] = tuple(
-            effective_subrels.items()
-        )
 
         entries: Dict[str, MemberEntry] = {
             "surrogate": MemberEntry(

@@ -24,7 +24,12 @@ kind                      data
 ``object_created``        ``class_name`` (emitted by the database facade)
 ========================  =====================================================
 
-Every event carries ``subject`` — the object it happened to.
+Every event carries ``subject`` — the object it happened to.  An event
+the core layer publishes after a member change or a bind/unbind also
+carries ``cone``: the propagation cone the derived-state maintainer walked
+for it (:class:`repro.query.maintain.Cone`), or None when nothing needed
+the walk.  The cone is not part of ``data``, so it stays out of every
+rendering of the payload.
 
 Causal stamping
 ---------------
@@ -78,6 +83,8 @@ class Event:
     ts: float = 0.0
     cause: Optional[int] = None
     trace: int = 0
+    #: The maintainer's propagation cone for this mutation (see above).
+    cone: Any = field(default=None, compare=False, repr=False)
 
     def __getattr__(self, name: str) -> Any:
         # Dunder lookups (``__deepcopy__``, ``__getstate__``, …) come from
@@ -153,7 +160,9 @@ class EventBus:
 
     # -- emission --------------------------------------------------------------
 
-    def emit(self, kind: str, subject: Any = None, **data: Any) -> Event:
+    def emit(
+        self, kind: str, subject: Any = None, *, cone: Any = None, **data: Any
+    ) -> Event:
         """Publish an event and run its handlers synchronously."""
         seq = next(_GLOBAL_SEQ)
         causes = self._causes
@@ -165,7 +174,8 @@ class EventBus:
         wildcards = self._handlers.get(self.WILDCARD)
         observed = handlers or wildcards or self.record
         event = Event(
-            kind, subject, data, seq, _time() if observed else 0.0, cause, trace
+            kind, subject, data, seq, _time() if observed else 0.0, cause, trace,
+            cone,
         )
         if self.record:
             self.history.append(event)

@@ -233,7 +233,7 @@ def _load_image(image: Dict[str, Any], db: Database) -> Database:
                 rel_type, transmitter, inheritor, surrogate, database=db
             )
             inheritor._links_as_inheritor[rel_type.name] = link
-            transmitter._links_as_transmitter.append(link)
+            transmitter._add_link_as_transmitter(link)
             inheritor._bump_binding_epoch()
             transmitter._binding_epoch += 1
             _restore_attrs(link, record["attrs"])

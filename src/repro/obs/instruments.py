@@ -77,6 +77,7 @@ class Observability:
             ring_size=ring_size,
             track_propagation=track_propagation,
             audit=self.audit,
+            slowlog=self.slowlog,
         )
         # The flight recorder is pull-based: it subscribes to nothing and
         # costs nothing until someone calls tick() (or starts its thread).

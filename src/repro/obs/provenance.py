@@ -82,17 +82,14 @@ def _expand(item: Any) -> Iterator["AuditRecord"]:
     The hot paths store entries in their cheapest form and the readers
     pay for the structure: a mirrored bus event is the frozen
     :class:`~repro.engine.events.Event` itself (its ``data`` is the
-    detail, minus the maintainer's cone); a ``propagation.fanout`` record
+    detail); a ``propagation.fanout`` record
     holds the cone's link list, turned into ``(link, inheritor, depth)``
     arrivals here; a maintenance batch becomes one record per refreshed
     target, each carrying the batch's stamps.
     """
     if type(item) is not AuditRecord:
-        data = item.data
-        if "cone" in data:
-            data = {key: value for key, value in data.items() if key != "cone"}
         yield AuditRecord(
-            item.seq, item.ts, item.kind, item.subject, item.cause, item.trace, data
+            item.seq, item.ts, item.kind, item.subject, item.cause, item.trace, item.data
         )
     elif item.kind == "propagation.fanout":
         detail = dict(item.detail)
@@ -229,7 +226,7 @@ class AuditLog:
         ``maintenance.batch`` record follows it, caused by the event.
         """
         self._append(event)
-        cone = event.data.get("cone")
+        cone = event.cone
         if cone is not None and cone.refreshed:
             self._append(
                 AuditRecord(next_seq(), event.ts, MAINTENANCE_BATCH, cone.subject,

@@ -11,7 +11,8 @@ update-propagation story get richer treatment:
   ``propagation.fanout_total``, per-relationship-type counters
   ``propagation.by_rel_type.<name>``), read off the propagation cone the
   derived-state maintainer walked for this update and handed over on the
-  event (:mod:`repro.query.maintain`) — the tap never walks it again;
+  event (``Event.cone``, :mod:`repro.query.maintain`) — the tap never
+  walks it; an update the maintainer did not publish is not measured;
 * ``inheritor_bound`` / ``inheritor_unbound`` — per-relationship-type
   binding churn (``inheritance.bound.<name>`` / ``inheritance.unbound.<name>``).
 
@@ -25,7 +26,9 @@ subscription** — and appends one ``propagation.fanout`` record per update
 with inheritors, causally linked to the update, whose ``reached`` detail
 is the cone's own link list (depths are derived when the record is read).
 That is what lets a :class:`~repro.obs.provenance.PropagationCone` be
-reconstructed per root mutation.
+reconstructed per root mutation.  With a slow log wired in (``slowlog``),
+an update whose maintenance pass overran the ``propagation`` budget is
+noted there, causally linked to the update.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from collections import deque
 from operator import attrgetter
 from typing import Any, Deque, Dict, List, Optional
 
-from ..core import inheritance as _inheritance
+from ..core.inheritance import cone_depths
 from ..engine.events import Event, EventBus
 from .metrics import FANOUT_BUCKETS, Counter, MetricsRegistry
 
@@ -54,11 +57,13 @@ class EventTap:
         ring_size: int = 256,
         track_propagation: bool = True,
         audit=None,
+        slowlog=None,
     ):
         self.bus = bus
         self.metrics = metrics
         self.track_propagation = track_propagation
         self.audit = audit
+        self.slowlog = slowlog
         self.ring: Deque[Event] = deque(maxlen=ring_size)
         #: Bound counter handles: event kind -> ``events.<kind>``, and
         #: (prefix, relationship type) -> ``<prefix>.<name>``.
@@ -103,11 +108,12 @@ class EventTap:
             self._rel_counter("inheritance.unbound", event.data["rel_type"]).inc()
 
     def _measure_propagation(self, event: Event) -> None:
+        cone = event.cone
+        if cone is None:
+            return
         metrics = self.metrics
-        data = event.data
-        cone = data.get("cone")
-        links = (cone.links if cone is not None
-                 else _inheritance.propagation_cone(event.subject, data["attribute"]))
+        attribute = event.data["attribute"]
+        links = cone.links
         fanout = len(links)
         if fanout:
             for rel_type, count in _Tally(map(_rel_type_of, links)).items():
@@ -119,11 +125,24 @@ class EventTap:
                     event,
                     "propagation.fanout",
                     subject=event.subject,
-                    attribute=data["attribute"],
+                    attribute=attribute,
                     reached=links,
                 )
         metrics.histogram("propagation.fanout", FANOUT_BUCKETS).observe(fanout)
         metrics.counter("propagation.fanout_total").inc(fanout)
+        slowlog = self.slowlog
+        if slowlog is not None and slowlog.exceeded("propagation", cone.duration):
+            # The cone summary is the diagnosis: how wide and how deep the
+            # update reached.  Noted here, under the update's cause.
+            depths = cone_depths(event.subject, links)
+            slowlog.note(
+                "propagation",
+                cone.duration,
+                subject=event.subject,
+                attribute=attribute,
+                fanout=fanout,
+                depth=max((depth for _, _, depth in depths), default=0),
+            )
 
     # -- inspection --------------------------------------------------------------
 

@@ -7,9 +7,10 @@ permeability-aware cone of ``(subject, member)`` once and refreshes value
 index entries, then view cells, for the subject and the cone's inheritors;
 a bind or unbind refreshes whole entries and rows in the inheritor's
 downstream subtree.  The walk happens only when a consumer exists (an index
-on the member, any view, a propagation-measuring event tap), and the
-walked :class:`Cone` rides on the event for the tap and the audit log.
-See ``docs/query.md``.
+on the member, any view for an attribute change, a propagation-measuring
+event tap for an update), and the walked :class:`Cone` rides on the event
+(``Event.cone``) for the tap, the slow log and the audit log.  See
+``docs/query.md``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ __all__ = ["Cone", "Maintainer"]
 
 _inheritor_of = attrgetter("inheritor")
 
+#: The member changes that can reach a view cell: no view column holds a
+#: container (``repro.query.views``), so container events skip the views.
+_ATTRIBUTE_CHANGES = frozenset(("attribute_updated", "attribute_restored"))
+
 
 class Cone:
     """One mutation's propagation cone and the maintenance done along it.
@@ -32,10 +37,14 @@ class Cone:
     ``member`` is None after a binding change.  ``refreshed`` lists the
     refreshed targets consumer by consumer — one list per mutation — and
     ``spans`` holds ``(index, count)`` per value index, ``(None, count)``
-    for the views (each target's own type view).
+    for the views (each target's own type view).  ``duration`` is the
+    maintainer's pass in seconds (walk and refresh), measured while a slow
+    log is attached, for its ``propagation`` budget.
     """
 
-    __slots__ = ("subject", "member", "reason", "links", "refreshed", "spans")
+    __slots__ = (
+        "subject", "member", "reason", "links", "refreshed", "spans", "duration"
+    )
 
     def __init__(self, subject: Any, member: Optional[str], reason: str,
                  links: Sequence[Any]) -> None:
@@ -45,6 +54,7 @@ class Cone:
         self.links = links
         self.refreshed: List[Any] = []
         self.spans: List[Tuple[Any, int]] = []
+        self.duration = 0.0
 
 
 class Maintainer:
@@ -60,25 +70,19 @@ class Maintainer:
         """Refresh derived state after ``member`` of ``obj`` changed; the
         walked cone, or None when nothing needed it."""
         indexes = self.indexes._by_attr.get(member)
-        views = self.views._views
+        views = self.views._views if reason in _ATTRIBUTE_CHANGES else None
         obs = self.database.obs
         if not (indexes or views or (
                 obs is not None and obs.tap.track_propagation
                 and reason == "attribute_updated")):
             return None
-        slowlog = obs.slowlog if obs is not None else None
-        started = perf_counter() if slowlog is not None else 0.0
-        links = _inheritance.propagation_cone(obj, member)
-        cone = Cone(obj, member, reason, links)
+        timed = obs is not None and obs.slowlog is not None
+        started = perf_counter() if timed else 0.0
+        cone = Cone(obj, member, reason, _inheritance.propagation_cone(obj, member))
         if indexes or views:
             self._refresh(cone, indexes or (), views)
-        if slowlog is not None:
-            duration = perf_counter() - started
-            if slowlog.exceeded("propagation", duration):
-                depths = _inheritance.cone_depths(obj, links)
-                slowlog.note("propagation", duration, subject=obj,
-                             attribute=member, fanout=len(links),
-                             depth=max((d for _, _, d in depths), default=0))
+        if timed:
+            cone.duration = perf_counter() - started
         return cone
 
     def topology_changed(self, obj: Any, reason: str) -> Optional[Cone]:

@@ -23,9 +23,9 @@ type extents:
   **incrementally**:
 
   - the :class:`~repro.query.maintain.Maintainer` re-extracts the changed
-    member's cells (attribute writes and restores, container content)
-    along the mutation's propagation cone, and whole rows below a bind
-    or unbind — after the value indexes, before any bus handler;
+    attribute's cells (writes and restores) along the mutation's
+    propagation cone, and whole rows below a bind or unbind — after the
+    value indexes, before any bus handler;
   - adopt/forget hooks add and drop rows synchronously;
   - a **schema-epoch bump** invalidates the view as a whole; the next
     routing rebuilds it lazily (the ``query.view.staleness`` counter and

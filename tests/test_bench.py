@@ -630,6 +630,25 @@ class TestSlowLog:
         assert len(mirrored) == 1
         assert mirrored[0].detail["budget"] == 0.0
 
+    def test_slow_propagation_is_caused_by_its_update(self):
+        db = gate_database("slowlog-propagation")
+        iface = make_interface(db)
+        impls = [make_implementation(db, iface) for _ in range(3)]
+        db.enable_observability(tracing=False, slow_budgets={"propagation": 0.0})
+        iface.set_attribute("Length", 23)
+        [op] = db.obs.slowlog.operations("propagation")
+        assert op.subject is iface
+        assert op.detail["attribute"] == "Length"
+        assert op.detail["fanout"] == len(impls)
+        assert op.detail["depth"] == 1
+        [update] = [
+            r for r in db.obs.audit.records(kind="attribute_updated")
+            if r.detail["new"] == 23
+        ]
+        [record] = db.obs.audit.records("slowlog.propagation")
+        assert record.cause == update.seq
+        assert record.trace == update.trace
+
     def test_within_budget_records_nothing(self):
         db = gate_database("slowlog-quiet")
         iface = make_interface(db)

@@ -567,6 +567,22 @@ def test_update_without_consumers_walks_no_cone(cone_walks):
     assert cone_walks == []
 
 
+def test_container_change_walks_only_for_a_container_index(cone_walks):
+    db, iface, impls, impl_type = _gate_world(observe=True)
+    # No view column holds a container, so a view is no consumer of a
+    # container change; neither is an attached tap.
+    assert db.views.view_for(impl_type) is not None
+    refreshes = db.views.stats["query.view.refreshes"]
+    del cone_walks[:]
+    iface.subclass("Pins").create(InOut="IN")
+    # (The new pin's own InOut write walks its cone, for the tap.)
+    assert [walk for walk in cone_walks if walk[0] is iface] == []
+    db.indexes.ensure_value_index("type", impl_type.name, impl_type, "Pins")
+    iface.subclass("Pins").create(InOut="OUT")
+    assert [walk for walk in cone_walks if walk[0] is iface] == [(iface, "Pins")]
+    assert db.views.stats["query.view.refreshes"] == refreshes
+
+
 def test_container_change_refreshes_inherited_container_entries():
     db, iface, impls, impl_type = _gate_world()
     index = db.indexes.ensure_value_index("type", impl_type.name, impl_type, "Pins")

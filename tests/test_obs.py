@@ -466,3 +466,14 @@ class TestPlumbing:
         tap.detach()
         bus.emit("custom_kind", subject=None)
         assert registry.value("events.custom_kind") == 1
+
+    def test_update_without_a_cone_is_counted_not_measured(self):
+        # Fan-out is read off the maintainer's cone only; an update
+        # emitted by hand carries none, and the tap walks nothing itself.
+        bus = EventBus()
+        registry = MetricsRegistry()
+        EventTap(bus, registry)
+        bus.emit("attribute_updated", subject=object(), attribute="x")
+        assert registry.value("propagation.updates") == 1
+        assert registry.value("propagation.fanout_total") is None
+        assert "propagation.fanout" not in registry.as_dict()["histograms"]

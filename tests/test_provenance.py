@@ -650,11 +650,14 @@ class TestSchemaGoldens:
         snap = snapshot(db)
         assert snap["schema"] == "repro.metrics/1"
         events = snap["events"]["recent"]
-        assert events
+        assert any(event["kind"] == "attribute_updated" for event in events)
         for event in events:
             assert set(event) == {
                 "kind", "subject", "data", "seq", "ts", "cause", "trace",
             }
+            # The maintainer's cone rides on the event, not in its payload.
+            assert "cone" not in event["data"]
+        assert "Cone object" not in json.dumps(snap)
 
     def test_snapshot_without_audit_raises_repro_error(self):
         db = Database("noaudit")
