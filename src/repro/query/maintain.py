@@ -26,10 +26,6 @@ __all__ = ["Cone", "Maintainer"]
 
 _inheritor_of = attrgetter("inheritor")
 
-#: The member changes that can reach a view cell: no view column holds a
-#: container (``repro.query.views``), so container events skip the views.
-_ATTRIBUTE_CHANGES = frozenset(("attribute_updated", "attribute_restored"))
-
 
 class Cone:
     """One mutation's propagation cone and the maintenance done along it.
@@ -42,9 +38,7 @@ class Cone:
     log is attached, for its ``propagation`` budget.
     """
 
-    __slots__ = (
-        "subject", "member", "reason", "links", "refreshed", "spans", "duration"
-    )
+    __slots__ = ("subject", "member", "reason", "links", "refreshed", "spans", "duration")
 
     def __init__(self, subject: Any, member: Optional[str], reason: str,
                  links: Sequence[Any]) -> None:
@@ -70,7 +64,9 @@ class Maintainer:
         """Refresh derived state after ``member`` of ``obj`` changed; the
         walked cone, or None when nothing needed it."""
         indexes = self.indexes._by_attr.get(member)
-        views = self.views._views if reason in _ATTRIBUTE_CHANGES else None
+        # No view column holds a container: only attribute changes reach views.
+        views = (self.views._views
+                 if reason in ("attribute_updated", "attribute_restored") else None)
         obs = self.database.obs
         if not (indexes or views or (
                 obs is not None and obs.tap.track_propagation
