@@ -9,7 +9,6 @@ experiment quantifies the move:
   epoch validation) and the cold compiled walk; the acceptance target is
   ≥3× at depth 8;
 * diamond dispatch (two candidate relationships, declaration order);
-* the epoch-guarded cache: warm reads and the update → revalidate cycle;
 * plan-compilation cost and amortisation (``visible_member_names``).
 """
 
@@ -87,55 +86,6 @@ class TestDiamondDispatch:
         benchmark(inh.get_member, "A")
 
 
-class TestEpochCache:
-    @pytest.mark.parametrize("depth", DEPTHS)
-    def test_epoch_cache_warm_read(self, benchmark, depth):
-        """A fresh entry costs O(chain) integer compares, no delegation."""
-        from repro.composition import InheritedValueCache
-        from repro.workloads import gate_database
-
-        db = gate_database("e14-cache")
-        cache = InheritedValueCache(db)
-        base_type = ObjectType("C0", attributes={"V": INTEGER})
-        current_type = base_type
-        top = new_object(base_type, database=db, V=42)
-        current = top
-        for level in range(1, depth + 1):
-            rel = InheritanceRelationshipType(f"CR{level}", current_type, ["V"])
-            next_type = ObjectType(f"C{level}")
-            next_type.declare_inheritor_in(rel)
-            current = new_object(next_type, database=db, transmitter=current, via=rel)
-            current_type = next_type
-        assert cache.get(current, "V") == 42
-        benchmark(cache.get, current, "V")
-
-    @pytest.mark.parametrize("depth", DEPTHS)
-    def test_epoch_cache_update_then_revalidate(self, benchmark, depth):
-        """Root update + next read: lazy staleness detection + rematerialise."""
-        from repro.composition import InheritedValueCache
-        from repro.workloads import gate_database
-
-        db = gate_database("e14-cache")
-        cache = InheritedValueCache(db)
-        base_type = ObjectType("U0", attributes={"V": INTEGER})
-        current_type = base_type
-        top = new_object(base_type, database=db, V=0)
-        current = top
-        for level in range(1, depth + 1):
-            rel = InheritanceRelationshipType(f"UR{level}", current_type, ["V"])
-            next_type = ObjectType(f"U{level}")
-            next_type.declare_inheritor_in(rel)
-            current = new_object(next_type, database=db, transmitter=current, via=rel)
-            current_type = next_type
-        counter = iter(range(10**9))
-
-        def update_and_reread():
-            top.set_attribute("V", next(counter))
-            cache.get(current, "V")
-
-        benchmark(update_and_reread)
-
-
 class TestPlanCompilation:
     def test_plan_compile_wide_type(self, benchmark):
         """One-off compile cost for a 64-attribute type with inheritance."""
@@ -192,24 +142,3 @@ def register(suite):
             _top, bottom = build_chain(depth, "N")
             assert resolution.naive_get_member(bottom, "V") == 42
             return lambda: resolution.naive_get_member(bottom, "V")
-
-    @suite.case("epoch_cache_warm_read[8]")
-    def cache_case():
-        from repro.composition import InheritedValueCache
-        from repro.workloads import gate_database
-
-        db = gate_database("e14-cache")
-        cache = InheritedValueCache(db)
-        base_type = ObjectType("C0", attributes={"V": INTEGER})
-        current_type = base_type
-        current = new_object(base_type, database=db, V=42)
-        for level in range(1, 9):
-            rel = InheritanceRelationshipType(f"CR{level}", current_type, ["V"])
-            next_type = ObjectType(f"C{level}")
-            next_type.declare_inheritor_in(rel)
-            current = new_object(
-                next_type, database=db, transmitter=current, via=rel
-            )
-            current_type = next_type
-        assert cache.get(current, "V") == 42
-        return lambda: cache.get(current, "V")

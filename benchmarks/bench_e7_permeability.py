@@ -90,55 +90,6 @@ class TestHierarchyDepth:
         benchmark(current.get_member, "V")
 
     @pytest.mark.parametrize("depth", DEPTHS)
-    def test_read_through_chain_cached(self, benchmark, depth):
-        """Ablation: the materialising cache flattens the chain cost to a
-        dict lookup — at the price of invalidation work on updates."""
-        from repro.composition import InheritedValueCache
-        from repro.workloads import gate_database
-
-        db = gate_database("e7-cache")
-        cache = InheritedValueCache(db)
-        base_type = ObjectType("L0", attributes={"V": INTEGER})
-        current_type = base_type
-        top = new_object(base_type, database=db, V=42)
-        current = top
-        for level in range(1, depth + 1):
-            rel = InheritanceRelationshipType(f"R{level}", current_type, ["V"])
-            next_type = ObjectType(f"L{level}")
-            next_type.declare_inheritor_in(rel)
-            current = new_object(next_type, database=db, transmitter=current, via=rel)
-            current_type = next_type
-        assert cache.get(current, "V") == 42  # warm the entry
-        benchmark(cache.get, current, "V")
-
-    @pytest.mark.parametrize("depth", DEPTHS)
-    def test_update_at_root_with_cache_invalidation(self, benchmark, depth):
-        """Ablation: with the cache attached, a root update pays the
-        downward invalidation walk (O(depth) here)."""
-        from repro.composition import InheritedValueCache
-        from repro.workloads import gate_database
-
-        db = gate_database("e7-cache")
-        cache = InheritedValueCache(db)
-        base_type = ObjectType("L0", attributes={"V": INTEGER})
-        current_type = base_type
-        top = new_object(base_type, database=db, V=0)
-        current = top
-        for level in range(1, depth + 1):
-            rel = InheritanceRelationshipType(f"R{level}", current_type, ["V"])
-            next_type = ObjectType(f"L{level}")
-            next_type.declare_inheritor_in(rel)
-            current = new_object(next_type, database=db, transmitter=current, via=rel)
-            current_type = next_type
-        counter = iter(range(10**9))
-
-        def update_and_rewarm():
-            top.set_attribute("V", next(counter))
-            cache.get(current, "V")
-
-        benchmark(update_and_rewarm)
-
-    @pytest.mark.parametrize("depth", DEPTHS)
     def test_update_at_root_constant(self, benchmark, depth):
         """Updates stay O(1) no matter how deep the hierarchy below."""
         base_type = ObjectType("L0", attributes={"V": INTEGER})
@@ -155,7 +106,7 @@ class TestHierarchyDepth:
         benchmark(lambda: top.set_attribute("V", next(counter)))
 
 
-def _chain(db, depth, cache=None):
+def _chain(db, depth):
     base_type = ObjectType("L0", attributes={"V": INTEGER})
     current_type = base_type
     top = new_object(base_type, database=db, V=42)
@@ -211,14 +162,3 @@ def register(suite):
         _top, bottom = _chain(db, depth)
         assert bottom["V"] == 42
         return lambda: bottom.get_member("V")
-
-    @suite.case(f"chain_read_cached[{depth}]")
-    def cached_case():
-        from repro.composition import InheritedValueCache
-        from repro.workloads import gate_database
-
-        db = gate_database("e7-cache")
-        cache = InheritedValueCache(db)
-        _top, bottom = _chain(db, depth)
-        assert cache.get(bottom, "V") == 42
-        return lambda: cache.get(bottom, "V")

@@ -52,6 +52,30 @@ def _load_catalog(db: Database, path: str) -> List[str]:
     return list(getattr(db.catalog, "ddl_notes", []))
 
 
+def _open_image(
+    args: argparse.Namespace, observe: bool = False, **options
+) -> Database:
+    """A database named ``cli`` holding ``args.schema`` and ``args.image``.
+
+    With ``observe``, observability is attached before loading, with
+    ``options`` forwarded to :meth:`Database.enable_observability`.
+    """
+    db = Database("cli")
+    if observe:
+        db.enable_observability(**options)
+    _load_catalog(db, args.schema)
+    load(args.image, db)
+    return db
+
+
+def _workout(args: argparse.Namespace, db: Database) -> None:
+    """One round of the standard workout, unless ``--no-exercise``."""
+    if not args.no_exercise:
+        from .obs.report import exercise
+
+        exercise(db)
+
+
 def cmd_schema(args: argparse.Namespace) -> int:
     db = Database("cli")
     notes = _load_catalog(db, args.schema)
@@ -301,9 +325,7 @@ def _lint_engine(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    db = Database("cli")
-    _load_catalog(db, args.schema)
-    load(args.image, db)
+    db = _open_image(args)
     by_type: Counter = Counter(obj.object_type.name for obj in db.objects())
     print(f"objects: {db.count()}")
     print(f"types in catalog: {len(db.catalog)}")
@@ -317,9 +339,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     from .query import run_query
 
-    db = Database("cli", observe=args.trace)
-    _load_catalog(db, args.schema)
-    load(args.image, db)
+    db = _open_image(args, observe=args.trace)
     result = run_query(db, args.query, explain=args.explain)
     if args.explain:
         print(result.explain())
@@ -334,30 +354,22 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    from .obs.report import exercise, render_table, snapshot
+    from .obs.report import render_table, snapshot
 
-    db = Database("cli", observe=True)
-    _load_catalog(db, args.schema)
-    load(args.image, db)
-    if not args.no_exercise:
-        exercise(db)
+    db = _open_image(args, observe=True)
+    _workout(args, db)
     if args.watch is not None:
-        return _watch_loop(
-            db,
-            interval=args.watch,
-            count=args.count,
-            exercise_each=not args.no_exercise,
-        )
+        return _watch_loop(args, db, interval=args.watch)
     snap = snapshot(db, include_events=not args.no_events)
     if args.json:
         print(json.dumps(snap, indent=2))
     else:
         print(render_table(snap))
         if args.events:
-            ring = db.obs.tap.recent()
+            events = db.obs.audit.events()
             print()
-            print(f"event ring ({len(ring)} buffered):")
-            for event in ring:
+            print(f"event ring ({len(events)} bus events in the audit ring):")
+            for event in events:
                 cause = f" <-#{event.cause}" if event.cause is not None else ""
                 print(
                     f"  #{event.seq} trace={event.trace} {event.kind} "
@@ -367,35 +379,34 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _watch_loop(
+    args: argparse.Namespace,
     db: Database,
     interval: float,
-    count: Optional[int],
-    exercise_each: bool,
     top: bool = False,
     limit: int = 20,
 ) -> int:
     """Tick the flight recorder every ``interval`` seconds and render.
 
     The shared loop behind ``repro metrics --watch`` and ``repro top``:
-    one :meth:`~repro.obs.recorder.FlightRecorder.tick` per frame, the
+    one workout round (:func:`_workout`) and one
+    :meth:`~repro.obs.recorder.FlightRecorder.tick` per frame, the
     sample rendered through the recorder's own renderer.  ``top`` adds
     the health verdict and the lock table's contention snapshot and
-    clears the screen between frames on a tty.  Runs until ``count``
+    clears the screen between frames on a tty.  Runs until ``--count``
     frames (None = until Ctrl-C).
     """
     import time as _time
 
     from .obs.recorder import render_sample
-    from .obs.report import exercise
 
+    count = args.count
     recorder = db.obs.recorder
     recorder.tick()
     frames = 0
     try:
         while count is None or frames < count:
             _time.sleep(interval)
-            if exercise_each:
-                exercise(db)
+            _workout(args, db)
             sample = recorder.tick()
             if top and sys.stdout.isatty():
                 print("\x1b[2J\x1b[H", end="")
@@ -435,19 +446,23 @@ def _watch_loop(
     return 0
 
 
-def cmd_flight(args: argparse.Namespace) -> int:
-    from .obs.recorder import render_sample
-    from .obs.report import exercise
-
-    db = Database("cli", observe=True)
-    _load_catalog(db, args.schema)
-    load(args.image, db)
+def _ticked(args: argparse.Namespace) -> Database:
+    """An observed image after a baseline recorder tick and ``--ticks``
+    workout-then-tick rounds (``repro flight`` and ``repro health``)."""
+    db = _open_image(args, observe=True)
     recorder = db.obs.recorder
     recorder.tick()
     for _ in range(args.ticks):
-        if not args.no_exercise:
-            exercise(db)
+        _workout(args, db)
         recorder.tick()
+    return db
+
+
+def cmd_flight(args: argparse.Namespace) -> int:
+    from .obs.recorder import render_sample
+
+    db = _ticked(args)
+    recorder = db.obs.recorder
     if args.json:
         print(json.dumps(recorder.snapshot(), indent=2))
         return 0
@@ -462,18 +477,7 @@ def cmd_flight(args: argparse.Namespace) -> int:
 
 
 def cmd_health(args: argparse.Namespace) -> int:
-    from .obs.report import exercise
-
-    db = Database("cli", observe=True)
-    _load_catalog(db, args.schema)
-    load(args.image, db)
-    recorder = db.obs.recorder
-    recorder.tick()
-    for _ in range(args.ticks):
-        if not args.no_exercise:
-            exercise(db)
-        recorder.tick()
-    report = db.obs.health.evaluate()
+    report = _ticked(args).obs.health.evaluate()
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:
@@ -482,14 +486,10 @@ def cmd_health(args: argparse.Namespace) -> int:
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    db = Database("cli", observe=True)
-    _load_catalog(db, args.schema)
-    load(args.image, db)
     return _watch_loop(
-        db,
+        args,
+        _open_image(args, observe=True),
         interval=args.interval,
-        count=args.count,
-        exercise_each=not args.no_exercise,
         top=True,
         limit=args.limit,
     )
@@ -497,13 +497,9 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     from .obs.export import audit_snapshot, render_audit_table
-    from .obs.report import exercise
 
-    db = Database("cli", observe=True)
-    _load_catalog(db, args.schema)
-    load(args.image, db)
-    if not args.no_exercise:
-        exercise(db)
+    db = _open_image(args, observe=True)
+    _workout(args, db)
     snap = audit_snapshot(
         db, kind=args.kind, subject=args.object, trace=args.trace_id
     )
@@ -515,9 +511,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_explain_value(args: argparse.Namespace) -> int:
-    db = Database("cli")
-    _load_catalog(db, args.schema)
-    load(args.image, db)
+    db = _open_image(args)
     obj = _find_object(db, args.object)
     provenance = db.explain_value(obj, args.attribute)
     if args.json:
@@ -682,21 +676,17 @@ def cmd_race(args: argparse.Namespace) -> int:
 
 
 def cmd_slowlog(args: argparse.Namespace) -> int:
-    from .obs.report import exercise
     from .obs.slowlog import DEFAULT_BUDGETS
     from .query import run_query
 
     budgets = None
     if args.budget_ms is not None:
         budgets = {kind: args.budget_ms / 1000.0 for kind in DEFAULT_BUDGETS}
-    db = Database("cli")
-    db.enable_observability(tracing=False, slow_budgets=budgets)
-    _load_catalog(db, args.schema)
-    load(args.image, db)
+    db = _open_image(args, observe=True, tracing=False, slow_budgets=budgets)
     if args.query:
         run_query(db, args.query)
-    elif not args.no_exercise:
-        exercise(db)
+    else:
+        _workout(args, db)
     slowlog = db.obs.slowlog
     if args.json:
         print(json.dumps(slowlog.snapshot(args.kind, args.since), indent=2))
@@ -734,6 +724,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Parents: the positionals of every command that loads an image, and
+    # the flag of those that run the standard workout on it.
+    image = argparse.ArgumentParser(add_help=False)
+    image.add_argument("schema", help="path to a .ddl schema file")
+    image.add_argument("image", help="JSON image to load")
+    workout = argparse.ArgumentParser(add_help=False)
+    workout.add_argument(
+        "--no-exercise",
+        action="store_true",
+        help="skip the standard workout; observe only what loading produced",
+    )
 
     p_schema = sub.add_parser("schema", help="parse a DDL file and pretty-print it")
     p_schema.add_argument("schema", help="path to a .ddl schema file")
@@ -827,14 +828,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.set_defaults(func=cmd_lint)
 
-    p_stats = sub.add_parser("stats", help="statistics of a database image")
-    p_stats.add_argument("schema", help="path to a .ddl schema file")
-    p_stats.add_argument("image", help="JSON image to inspect")
+    p_stats = sub.add_parser(
+        "stats", parents=[image], help="statistics of a database image"
+    )
     p_stats.set_defaults(func=cmd_stats)
 
-    p_query = sub.add_parser("query", help="run a select query against an image")
-    p_query.add_argument("schema", help="path to a .ddl schema file")
-    p_query.add_argument("image", help="JSON image to query")
+    p_query = sub.add_parser(
+        "query", parents=[image], help="run a select query against an image"
+    )
     p_query.add_argument("query", help="select … from … where …")
     p_query.add_argument(
         "--trace", action="store_true", help="print a span tree to stderr"
@@ -849,26 +850,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_metrics = sub.add_parser(
         "metrics",
+        parents=[image, workout],
         help="load an image with observability on, run the standard "
         "workout, and dump the metrics registry",
     )
-    p_metrics.add_argument("schema", help="path to a .ddl schema file")
-    p_metrics.add_argument("image", help="JSON image to measure")
     p_metrics.add_argument(
         "--json", action="store_true", help="emit the repro.metrics/1 JSON"
     )
     p_metrics.add_argument(
-        "--no-exercise",
+        "--no-events",
         action="store_true",
-        help="skip the workout; report only what loading produced",
-    )
-    p_metrics.add_argument(
-        "--no-events", action="store_true", help="omit the event ring buffer"
+        help="omit the bus events kept in the audit ring",
     )
     p_metrics.add_argument(
         "--events",
         action="store_true",
-        help="also dump the full event ring (seq, kind, subject, cause)",
+        help="also dump every bus event the audit ring keeps "
+        "(seq, kind, subject, cause)",
     )
     p_metrics.add_argument(
         "--watch",
@@ -887,11 +885,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser(
         "audit",
+        parents=[image, workout],
         help="load an image with observability on, run the standard "
         "workout, and dump the causal audit log (repro.audit/1)",
     )
-    p_audit.add_argument("schema", help="path to a .ddl schema file")
-    p_audit.add_argument("image", help="JSON image to audit")
     p_audit.add_argument(
         "--json", action="store_true", help="emit the repro.audit/1 JSON"
     )
@@ -905,20 +902,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument(
         "--trace-id", type=int, help="only records of this causal trace"
     )
-    p_audit.add_argument(
-        "--no-exercise",
-        action="store_true",
-        help="skip the workout; report only what loading produced",
-    )
     p_audit.set_defaults(func=cmd_audit)
 
     p_explain = sub.add_parser(
         "explain-value",
+        parents=[image],
         help="show where an attribute's value comes from: holder object, "
         "inheritance path, permeability decisions, epochs, indexes",
     )
-    p_explain.add_argument("schema", help="path to a .ddl schema file")
-    p_explain.add_argument("image", help="JSON image to load")
     p_explain.add_argument(
         "object", help="object selector: @space:N, Name[i], or a unique name"
     )
@@ -1088,11 +1079,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_slowlog = sub.add_parser(
         "slowlog",
+        parents=[image, workout],
         help="load an image with the slow-operation log attached, run a "
         "query or the standard workout, and dump what blew its budget",
     )
-    p_slowlog.add_argument("schema", help="path to a .ddl schema file")
-    p_slowlog.add_argument("image", help="JSON image to load")
     p_slowlog.add_argument(
         "--query", help="run this query instead of the standard workout"
     )
@@ -1101,11 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="MS",
         help="override every per-kind latency budget with MS milliseconds",
-    )
-    p_slowlog.add_argument(
-        "--no-exercise",
-        action="store_true",
-        help="skip the workout; report only what loading produced",
     )
     p_slowlog.add_argument(
         "--json", action="store_true", help="emit the repro.slowlog/1 JSON"
@@ -1126,23 +1111,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_flight = sub.add_parser(
         "flight",
+        parents=[image, workout],
         help="load an image with observability on, tick the flight "
         "recorder across workout rounds, and dump the sample ring "
         "(repro.flight/1)",
     )
-    p_flight.add_argument("schema", help="path to a .ddl schema file")
-    p_flight.add_argument("image", help="JSON image to observe")
     p_flight.add_argument(
         "--ticks",
         type=int,
         default=3,
         metavar="N",
         help="workout/tick rounds after the baseline sample (default: 3)",
-    )
-    p_flight.add_argument(
-        "--no-exercise",
-        action="store_true",
-        help="skip the workout between ticks; samples show only loading",
     )
     p_flight.add_argument(
         "--limit",
@@ -1158,11 +1137,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_health = sub.add_parser(
         "health",
+        parents=[image, workout],
         help="evaluate the health rules over flight-recorder samples; "
         "exit 0 ok, 1 degraded, 2 critical",
     )
-    p_health.add_argument("schema", help="path to a .ddl schema file")
-    p_health.add_argument("image", help="JSON image to observe")
     p_health.add_argument(
         "--ticks",
         type=int,
@@ -1171,22 +1149,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="workout/tick rounds before evaluating (default: 3)",
     )
     p_health.add_argument(
-        "--no-exercise",
-        action="store_true",
-        help="skip the workout between ticks",
-    )
-    p_health.add_argument(
         "--json", action="store_true", help="emit the repro.health/1 JSON"
     )
     p_health.set_defaults(func=cmd_health)
 
     p_top = sub.add_parser(
         "top",
+        parents=[image, workout],
         help="live terminal view: per-second rates, health verdict and "
         "lock contention, refreshed per interval",
     )
-    p_top.add_argument("schema", help="path to a .ddl schema file")
-    p_top.add_argument("image", help="JSON image to observe")
     p_top.add_argument(
         "--interval",
         type=float,
@@ -1199,11 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="stop after N frames (default: until Ctrl-C)",
-    )
-    p_top.add_argument(
-        "--no-exercise",
-        action="store_true",
-        help="do not run the workout between frames (observe only)",
     )
     p_top.add_argument(
         "--limit",

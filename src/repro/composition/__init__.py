@@ -1,6 +1,5 @@
 """Composition layer: interfaces, composites, configurations, baselines."""
 
-from .cache import InheritedValueCache
 from .baselines import (
     clone_object,
     copy_component,
@@ -34,7 +33,6 @@ from .interfaces import (
 )
 
 __all__ = [
-    "InheritedValueCache",
     "clone_object",
     "copy_component",
     "stale_members",

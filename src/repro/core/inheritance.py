@@ -35,7 +35,6 @@ __all__ = [
     "iter_propagation",
     "iter_propagation_depths",
     "propagation_cone",
-    "propagation_fanout",
 ]
 
 TRANSMITTER_ROLE = "transmitter"
@@ -268,8 +267,3 @@ def iter_propagation_depths(
     reported at the depth of whichever path the walk reaches it through
     first."""
     return cone_depths(transmitter, propagation_cone(transmitter, member))
-
-
-def propagation_fanout(transmitter: Any, member: str) -> int:
-    """How many inheritors would see an update of ``member`` (transitively)."""
-    return len(propagation_cone(transmitter, member))

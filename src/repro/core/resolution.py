@@ -30,12 +30,10 @@ This module compiles that decision once per type:
     mutation epoch moves on attribute/subobject writes of that object;
     the binding epoch moves when the object's *resolution topology*
     changes — its own bind/unbind or any upstream binding change, because
-    bumps propagate down the inheritor subtree at bind time.  Consumers
-    that materialise a resolved value (``DBObject.get_member``'s own
-    holder memo, the
-    :class:`~repro.composition.cache.InheritedValueCache`) therefore
-    validate with O(1) integer compares instead of subscribing to the
-    event bus or re-walking the chain.
+    bumps propagate down the inheritor subtree at bind time.
+    ``DBObject.get_member``'s holder memo therefore validates with O(1)
+    integer compares instead of subscribing to the event bus or
+    re-walking the chain.
 
 The compiled plan preserves the interpretive semantics bit for bit:
 declaration-order diamond resolution, permeability filtering, dynamic

@@ -112,15 +112,14 @@ class Database:
         """Attach (or return the existing) :class:`~repro.obs.Observability`.
 
         Options are forwarded to the bundle: ``tracing`` (default True),
-        ``ring_size``, ``track_propagation``, ``audit`` (default True:
-        keep the causal audit log), ``audit_ring``, ``audit_sink`` (a
-        JSONL path or sink object), ``slowlog`` (default True: keep the
-        slow-operation log), ``slow_budgets`` (per-kind latency budgets
-        in seconds, e.g. ``{"query": 0.05}`` — see
-        :data:`repro.obs.slowlog.DEFAULT_BUDGETS`), ``slowlog_ring``,
-        ``flight_ring`` (sample capacity of the pull-based flight
-        recorder reachable as ``obs.recorder``; the recorder costs
-        nothing until ticked).
+        ``audit`` (default True: keep the causal audit log, the one ring
+        that holds bus events and slow operations), ``audit_ring``,
+        ``audit_sink`` (a JSONL path or sink object), ``slowlog``
+        (default True: keep the slow-operation log), ``slow_budgets``
+        (per-kind latency budgets in seconds, e.g. ``{"query": 0.05}`` —
+        see :data:`repro.obs.slowlog.DEFAULT_BUDGETS`), ``flight_ring``
+        (sample capacity of the pull-based flight recorder reachable as
+        ``obs.recorder``; the recorder costs nothing until ticked).
         """
         if self.obs is None:
             from ..obs import Observability

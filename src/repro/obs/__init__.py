@@ -13,14 +13,15 @@ instrumentation in the hot code:
   ``repro.metrics/1`` JSON schema;
 * :class:`~repro.obs.tap.EventTap` — one wildcard subscription on the
   event bus turning every event kind into counters (plus per-relationship-
-  type propagation/binding counters and a post-mortem ring buffer);
+  type propagation/binding counters);
 * :class:`~repro.obs.provenance.AuditLog` — append-only causal audit log
-  (bounded ring + optional JSONL sink) with per-mutation
+  (bounded ring + optional JSONL sink), the one record stream: it keeps
+  the bus events and the slow operations, with per-mutation
   :class:`~repro.obs.provenance.PropagationCone` reconstruction and
   :func:`~repro.obs.provenance.explain_value` value provenance;
-* :class:`~repro.obs.slowlog.SlowLog` — over-budget operations (query,
-  propagation, expansion, txn) with their EXPLAIN plan / cone summary,
-  riding the audit stream;
+* :class:`~repro.obs.slowlog.SlowLog` — per-kind latency budgets; an
+  over-budget operation (query, propagation, expansion, txn) is counted
+  and appended to the audit stream with its EXPLAIN plan / cone summary;
 * :class:`~repro.obs.profiler.SamplingProfiler` — background-thread
   wall-clock frame sampler with collapsed-stack / flamegraph output and
   per-span attribution (``repro profile``);

@@ -16,8 +16,8 @@ carries the status it degrades the database to (``degraded`` or
   the window (view staleness, index self-heals, slow-op rate, audit-ring
   overflow, lock timeouts);
 * :func:`hit_rate_rule` — a hits/misses pair's windowed hit rate fell
-  under ``floor`` with at least ``min_events`` of traffic (the resolution
-  cache, the view router);
+  under ``floor`` with at least ``min_events`` of traffic (the view
+  router);
 * :func:`percentile_rule` — a histogram percentile exceeded ``threshold``
   *and* the histogram saw fresh observations inside the window, so a rule
   clears once the pressure stops (lock wait p95).
@@ -272,15 +272,6 @@ def default_rules() -> List[HealthRule]:
             10.0,
             description="value indexes rarely need epoch self-heals "
             "(heavy healing means maintenance is missing writes)",
-        ),
-        hit_rate_rule(
-            "cache-hit-collapse",
-            "cache.hits",
-            "cache.misses",
-            floor=0.5,
-            min_events=100,
-            description="the materialising resolution cache keeps a "
-            "windowed hit rate of at least 50%",
         ),
         hit_rate_rule(
             "view-hit-collapse",

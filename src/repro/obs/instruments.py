@@ -1,9 +1,11 @@
 """The per-database observability bundle and hot-path helpers.
 
 :class:`Observability` bundles one tracer, one metrics registry, one
-event tap, the audit log and the slow-operation log for a database.  Engine modules reach it through the database's
-``obs`` attribute (``None`` by default — the whole layer costs one
-attribute load and a branch when disabled)::
+event tap, the audit log, the slow-operation log and the flight recorder
+for a database.  The audit ring is the one record stream: it keeps the
+bus events and the slow operations.  Engine modules reach the bundle
+through the database's ``obs`` attribute (``None`` by default — the
+whole layer costs one attribute load and a branch when disabled)::
 
     obs = getattr(db, "obs", None)
     if obs is not None:
@@ -34,14 +36,11 @@ class Observability:
         self,
         database,
         tracing: bool = True,
-        ring_size: int = 256,
-        track_propagation: bool = True,
         audit: bool = True,
         audit_ring: int = 1024,
         audit_sink=None,
         slowlog: bool = True,
         slow_budgets=None,
-        slowlog_ring: int = 256,
         flight_ring: int = 256,
     ):
         self.database = database
@@ -58,26 +57,19 @@ class Observability:
             )
         # The slow-op log has no bus subscription of its own: engine call
         # sites clock an operation only when this attribute is non-None
-        # and hand the duration over (see repro.obs.slowlog).
+        # and hand the duration over; its records live in the audit ring
+        # (see repro.obs.slowlog).
         self.slowlog = None
         if slowlog:
             from .slowlog import SlowLog
 
             self.slowlog = SlowLog(
-                budgets=slow_budgets,
-                ring_size=slowlog_ring,
-                audit=self.audit,
-                metrics=self.metrics,
+                budgets=slow_budgets, audit=self.audit, metrics=self.metrics
             )
         # The audit log rides the tap's single wildcard subscription —
         # enabling provenance adds no further bus handlers.
         self.tap = EventTap(
-            database.events,
-            self.metrics,
-            ring_size=ring_size,
-            track_propagation=track_propagation,
-            audit=self.audit,
-            slowlog=self.slowlog,
+            database.events, self.metrics, audit=self.audit, slowlog=self.slowlog
         )
         # The flight recorder is pull-based: it subscribes to nothing and
         # costs nothing until someone calls tick() (or starts its thread).
@@ -99,15 +91,6 @@ class Observability:
 
     def span(self, name: str, **attributes: Any):
         return self.tracer.span(name, **attributes)
-
-    def count(self, name: str, n: int = 1) -> None:
-        self.metrics.counter(name).inc(n)
-
-    def observe(self, name: str, value: float, bounds=None) -> None:
-        if bounds is not None:
-            self.metrics.histogram(name, bounds).observe(value)
-        else:
-            self.metrics.histogram(name).observe(value)
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -194,7 +194,9 @@ class AuditLog:
     :meth:`record`, and multi-step engine operations open a causal frame
     with :meth:`operation` so the events they emit become their children.
     ``appended`` counts stored entries; readers (:meth:`records`, the
-    sink) see them expanded (:func:`_expand`).
+    sink) see them expanded (:func:`_expand`).  The ring is the bundle's
+    one record stream: ``repro metrics --events`` reads its bus events
+    (:meth:`events`) and the slow log its ``slowlog.<kind>`` records.
     """
 
     def __init__(self, bus: EventBus, ring_size: int = 1024, sink=None):
@@ -298,6 +300,10 @@ class AuditLog:
                     continue
                 result.append(record)
         return result
+
+    def events(self) -> List[Event]:
+        """The mirrored bus events still in the ring, oldest first."""
+        return [item for item in self.ring if type(item) is not AuditRecord]
 
     def traces(self) -> List[int]:
         """Distinct trace ids in the ring, in first-appearance order."""
@@ -703,9 +709,3 @@ def explain_value(obj, name: str) -> ValueProvenance:
         indexes,
         views,
     )
-
-
-def iter_cone_records(log: AuditLog, trace: int) -> Iterator[AuditRecord]:
-    """The records of one trace in sequence order (streaming helper)."""
-    for record in sorted(log.records(trace=trace), key=lambda r: r.seq):
-        yield record

@@ -1,12 +1,12 @@
 """Snapshots, rendering and the standard workout for ``repro metrics``.
 
-:func:`snapshot` freezes an observed database's registry (plus tap state)
-into the stable ``repro.metrics/1`` JSON shape documented in
-``docs/observability.md``; :func:`render_table` prints the same data as an
-aligned text table.  :func:`exercise` drives the engine's instrumented
-paths over an already-loaded database — inherited reads, update
-propagation, the materialising cache, lock plans and a lock table — so a
-freshly loaded image yields meaningful counters instead of zeros.
+:func:`snapshot` freezes an observed database's registry (plus the bus
+events in the audit ring) into the stable ``repro.metrics/1`` JSON shape
+documented in ``docs/observability.md``; :func:`render_table` prints the
+same data as an aligned text table.  :func:`exercise` drives the engine's
+instrumented paths over an already-loaded database — inherited reads,
+update propagation, lock plans and a lock table — so a freshly loaded
+image yields meaningful counters instead of zeros.
 """
 
 from __future__ import annotations
@@ -72,9 +72,12 @@ def snapshot(db, include_events: bool = True) -> Dict[str, Any]:
         "histograms": data["histograms"],
     }
     if include_events:
+        # The bus events mirrored in the audit ring (none without one).
+        audit = obs.audit
+        events = audit.events() if audit is not None else []
         result["events"] = {
-            "ring_size": obs.tap.ring.maxlen,
-            "recent": [_event_summary(event) for event in obs.tap.ring],
+            "ring_size": audit.ring.maxlen if audit is not None else 0,
+            "recent": [_event_summary(event) for event in events],
         }
     return result
 
@@ -82,13 +85,11 @@ def snapshot(db, include_events: bool = True) -> Dict[str, Any]:
 def derived_stats(snap: Dict[str, Any]) -> Dict[str, Any]:
     """Headline figures computed from a snapshot (used by reports).
 
-    ``cache_hit_rate`` is hits/(hits+misses) or None; ``lock_waits`` is the
-    conflict count (the non-blocking manager's equivalent of a wait);
-    ``propagation_mean_fanout`` comes from the fan-out histogram.
+    ``lock_waits`` is the conflict count (the non-blocking manager's
+    equivalent of a wait); ``propagation_mean_fanout`` comes from the
+    fan-out histogram.
     """
     counters = snap.get("counters", {})
-    hits = counters.get("cache.hits", 0)
-    misses = counters.get("cache.misses", 0)
     fanout = snap.get("histograms", {}).get("propagation.fanout")
     return {
         "propagation_updates": counters.get("propagation.updates", 0),
@@ -96,9 +97,6 @@ def derived_stats(snap: Dict[str, Any]) -> Dict[str, Any]:
         "propagation_mean_fanout": fanout["mean"] if fanout else None,
         "lock_acquisitions": counters.get("locks.acquired", 0),
         "lock_waits": counters.get("locks.conflicts", 0),
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "cache_hit_rate": hits / (hits + misses) if hits + misses else None,
         "inherited_reads": counters.get("reads.inherited", 0),
         "queries": counters.get("query.executed", 0),
     }
@@ -172,11 +170,9 @@ def exercise(db) -> None:
 
     Touches only existing state: inherited members are read, transmitters
     re-assert one already-stored permeable value (which exercises the
-    propagation walk without changing any data), the materialising cache
-    is filled and re-read, and lock plans/acquisitions run inside a scratch
-    lock table that is torn down afterwards.
+    propagation walk without changing any data), and lock plans/acquisitions
+    run inside a scratch lock table that is torn down afterwards.
     """
-    from ..composition.cache import InheritedValueCache
     from ..composition.composite import component_subobjects, expand
     from ..engine.integrity import check_integrity
     from ..txn.lock_inheritance import expansion_lock_plan, inherited_lock_plan
@@ -216,21 +212,6 @@ def exercise(db) -> None:
                         except ReproError:
                             continue
                         break
-
-        # The materialising cache: one cold pass (misses) + one warm (hits).
-        with obs.span("exercise.cache"):
-            cache = InheritedValueCache(db)
-            try:
-                for _ in range(2):
-                    for obj in objects:
-                        for link in obj.inheritance_links:
-                            for member in link.rel_type.inheriting:
-                                try:
-                                    cache.get(obj, member)
-                                except ReproError:
-                                    continue
-            finally:
-                cache.detach()
 
         # Lock plans and acquisitions over a scratch table.
         with obs.span("exercise.locks"):

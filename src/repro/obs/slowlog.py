@@ -11,10 +11,12 @@ the duration.  The :class:`SlowLog` captures, per operation kind:
 * ``expansion`` — the materialised-object count and depth limit;
 * ``txn`` — commit/abort with the undo-log length.
 
-Operations exceeding the kind's latency budget are kept in a bounded ring
-**and** appended to the PR-4 audit stream (``slowlog.<kind>`` records,
-causally linked to the operation that overran), so ``repro audit`` and a
-JSONL sink see them interleaved with the mutations they explain.
+An operation exceeding its kind's latency budget is counted and appended
+to the audit stream as one ``slowlog.<kind>`` record, causally linked to
+the operation that overran, so ``repro audit`` and a JSONL sink see it
+interleaved with the mutations it explains.  The slow log keeps no buffer
+of its own: :meth:`SlowLog.operations` reads those records back out of
+the audit ring.  Without an audit log it only counts.
 
 Cost discipline: the engine's call sites clock an operation **only when a
 slow log is attached** (``obs is not None and obs.slowlog is not None`` —
@@ -25,11 +27,9 @@ two ``perf_counter`` reads per operation (measured in E18).
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from typing import Any, Deque, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
-from ..engine.events import next_seq
+from .provenance import AuditRecord
 
 __all__ = ["SLOWLOG_SCHEMA_VERSION", "DEFAULT_BUDGETS", "SlowOp", "SlowLog"]
 
@@ -44,14 +44,17 @@ DEFAULT_BUDGETS: Dict[str, float] = {
     "txn": 0.100,
 }
 
+#: Kind prefix of the slow log's audit records (``slowlog.<kind>``).
+_PREFIX = "slowlog."
+
 
 class SlowOp(NamedTuple):
-    """One recorded over-budget operation.
+    """One over-budget operation, read back from its audit record.
 
-    ``seq`` places the record on the database's global event/audit
-    sequence (the same counter ``repro audit`` numbers records with), so
-    ``repro slowlog --since SEQ`` can tail incrementally and a slow op
-    can be correlated with the audit records around it.
+    ``seq`` is the audit record's place on the database's global
+    event/audit sequence (the same counter ``repro audit`` numbers records
+    with), so ``repro slowlog --since SEQ`` can tail incrementally and a
+    slow op can be correlated with the audit records around it.
     """
 
     ts: float
@@ -60,7 +63,15 @@ class SlowOp(NamedTuple):
     budget: float
     subject: Any
     detail: Dict[str, Any]
-    seq: Optional[int] = None
+    seq: int
+
+    @classmethod
+    def from_record(cls, record: AuditRecord) -> "SlowOp":
+        detail = dict(record.detail)
+        duration = detail.pop("duration")
+        budget = detail.pop("budget")
+        return cls(record.ts, record.kind[len(_PREFIX):], duration, budget,
+                   record.subject, detail, record.seq)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -86,28 +97,27 @@ class SlowOp(NamedTuple):
 
 
 class SlowLog:
-    """Bounded ring of over-budget operations, with per-kind budgets.
+    """Per-kind latency budgets over the audit stream.
 
     ``budgets`` overrides :data:`DEFAULT_BUDGETS` per kind; a kind whose
-    budget is ``None`` is never recorded.  When ``audit`` is attached,
-    every kept record is mirrored onto the audit stream as
-    ``slowlog.<kind>`` with the diagnosis in its detail.
+    budget is ``None`` is never recorded.  Every over-budget operation is
+    counted (``recorded``, and ``slowlog.<kind>`` in ``metrics``) and,
+    when ``audit`` is attached, appended to it as one ``slowlog.<kind>``
+    record with the diagnosis in its detail.
     """
 
     def __init__(
         self,
         budgets: Optional[Dict[str, float]] = None,
-        ring_size: int = 256,
         audit=None,
         metrics=None,
     ):
         self.budgets = dict(DEFAULT_BUDGETS)
         if budgets:
             self.budgets.update(budgets)
-        self.ring: Deque[SlowOp] = deque(maxlen=ring_size)
         self.audit = audit
         self.metrics = metrics
-        #: Total over-budget operations ever seen (the ring is bounded).
+        #: Total over-budget operations ever seen (the audit ring is bounded).
         self.recorded = 0
 
     def budget(self, kind: str) -> Optional[float]:
@@ -127,50 +137,45 @@ class SlowLog:
     def note(
         self, kind: str, duration: float, subject: Any = None, **detail: Any
     ) -> Optional[SlowOp]:
-        """Record the operation iff it exceeded its kind's budget.
+        """Count the operation iff it exceeded its kind's budget.
 
-        Returns the :class:`SlowOp` kept, or None when within budget (the
-        overwhelmingly common case — one float compare).
+        Returns the :class:`SlowOp` its audit record reads back as, or
+        None when within budget (the overwhelmingly common case — one
+        float compare) or when no audit log keeps the record.
         """
         budget = self.budgets.get(kind)
         if budget is None or duration < budget:
             return None
-        record = None
-        if self.audit is not None:
-            record = self.audit.record(
-                f"slowlog.{kind}",
-                subject,
-                duration=duration,
-                budget=budget,
-                **detail,
-            )
-        # Share the audit record's global sequence number; without an
-        # audit log, draw from the same counter so --since still works.
-        seq = record.seq if record is not None else next_seq()
-        op = SlowOp(time.time(), kind, duration, budget, subject, detail, seq)
-        self.ring.append(op)
         self.recorded += 1
         if self.metrics is not None:
-            self.metrics.counter(f"slowlog.{kind}").inc()
-        return op
+            self.metrics.counter(_PREFIX + kind).inc()
+        if self.audit is None:
+            return None
+        return SlowOp.from_record(self.audit.record(
+            _PREFIX + kind, subject, duration=duration, budget=budget, **detail
+        ))
 
     # -- inspection --------------------------------------------------------------
 
     def operations(
         self, kind: Optional[str] = None, since: Optional[int] = None
     ) -> List[SlowOp]:
-        """Buffered slow operations, oldest first.
+        """The slow operations still in the audit ring, oldest first.
 
         ``kind`` keeps one operation kind; ``since`` keeps records at or
         after that global sequence number (the selectors behind
         ``repro slowlog --kind/--since``, mirroring ``repro audit``).
         """
-        ops = list(self.ring)
-        if kind is not None:
-            ops = [op for op in ops if op.kind == kind]
-        if since is not None:
-            ops = [op for op in ops if op.seq is not None and op.seq >= since]
-        return ops
+        if self.audit is None:
+            return []
+        return [
+            SlowOp.from_record(item)
+            for item in self.audit.ring
+            if type(item) is AuditRecord
+            and item.kind.startswith(_PREFIX)
+            and (kind is None or item.kind == _PREFIX + kind)
+            and (since is None or item.seq >= since)
+        ]
 
     def snapshot(
         self, kind: Optional[str] = None, since: Optional[int] = None
@@ -188,20 +193,24 @@ class SlowLog:
     def render(
         self, kind: Optional[str] = None, since: Optional[int] = None
     ) -> str:
-        """An aligned text table of the buffered slow operations."""
+        """An aligned text table of the slow operations in the audit ring."""
         ops = self.operations(kind, since)
         if not ops:
             if kind is not None or since is not None:
                 return "slow log: no operations match the filters"
+            if self.recorded:
+                return (
+                    f"slow log: {self.recorded} over-budget operation(s), "
+                    f"none kept in the audit ring"
+                )
             return "slow log: empty (nothing exceeded its budget)"
         lines = [
             f"slow log: {self.recorded} over-budget operation(s) "
-            f"({len(self.ring)} buffered, {len(ops)} shown)"
+            f"({len(ops)} shown)"
         ]
         for op in ops:
-            seq = f"#{op.seq} " if op.seq is not None else ""
             lines.append(
-                f"  {seq}[{op.kind}] {op.duration * 1e3:.2f}ms "
+                f"  #{op.seq} [{op.kind}] {op.duration * 1e3:.2f}ms "
                 f"(budget {op.budget * 1e3:.1f}ms) {op.subject!r}"
             )
             for key, value in op.detail.items():
@@ -211,11 +220,5 @@ class SlowLog:
                     lines.append(prefix + line)
         return "\n".join(lines)
 
-    def clear(self) -> None:
-        self.ring.clear()
-
-    def __len__(self) -> int:
-        return len(self.ring)
-
     def __repr__(self) -> str:
-        return f"<SlowLog recorded={self.recorded} buffered={len(self.ring)}>"
+        return f"<SlowLog recorded={self.recorded}>"

@@ -1,4 +1,4 @@
-"""Event-bus telemetry: counters per event kind plus a post-mortem ring.
+"""Event-bus telemetry: counters per event kind and propagation fan-out.
 
 The :class:`EventTap` makes exactly **one** wildcard subscription on the
 database's :class:`~repro.engine.events.EventBus` (so ``observe=False``
@@ -17,26 +17,27 @@ update-propagation story get richer treatment:
   binding churn (``inheritance.bound.<name>`` / ``inheritance.unbound.<name>``).
 
 Counter handles are bound once per event kind and relationship type, so
-the hot path formats no metric names.  The last ``ring_size`` events are
-kept in a ring buffer for post-mortem inspection (:meth:`EventTap.recent`).
+the hot path formats no metric names.  The tap keeps no events itself.
 
 When an :class:`~repro.obs.provenance.AuditLog` is wired in (``audit``),
-the tap also forwards every event to it — **through the same single
-subscription** — and appends one ``propagation.fanout`` record per update
-with inheritors, causally linked to the update, whose ``reached`` detail
-is the cone's own link list (depths are derived when the record is read).
-That is what lets a :class:`~repro.obs.provenance.PropagationCone` be
-reconstructed per root mutation.  With a slow log wired in (``slowlog``),
-an update whose maintenance pass overran the ``propagation`` budget is
-noted there, causally linked to the update.
+the tap forwards every event to it — **through the same single
+subscription** — which makes the audit ring the one place bus events are
+kept for inspection (:meth:`~repro.obs.provenance.AuditLog.events`,
+``repro metrics --events``).  It also appends one ``propagation.fanout``
+record per update with inheritors, causally linked to the update, whose
+``reached`` detail is the cone's own link list (depths are derived when
+the record is read).  That is what lets a
+:class:`~repro.obs.provenance.PropagationCone` be reconstructed per root
+mutation.  With a slow log wired in (``slowlog``), an update whose
+maintenance pass overran the ``propagation`` budget is noted there,
+causally linked to the update.
 """
 
 from __future__ import annotations
 
 from collections import Counter as _Tally
-from collections import deque
 from operator import attrgetter
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict
 
 from ..core.inheritance import cone_depths
 from ..engine.events import Event, EventBus
@@ -48,23 +49,15 @@ _rel_type_of = attrgetter("rel_type")
 
 
 class EventTap:
-    """One subscription turning bus traffic into metrics and a ring buffer."""
+    """One subscription turning bus traffic into metrics."""
 
     def __init__(
-        self,
-        bus: EventBus,
-        metrics: MetricsRegistry,
-        ring_size: int = 256,
-        track_propagation: bool = True,
-        audit=None,
-        slowlog=None,
+        self, bus: EventBus, metrics: MetricsRegistry, audit=None, slowlog=None
     ):
         self.bus = bus
         self.metrics = metrics
-        self.track_propagation = track_propagation
         self.audit = audit
         self.slowlog = slowlog
-        self.ring: Deque[Event] = deque(maxlen=ring_size)
         #: Bound counter handles: event kind -> ``events.<kind>``, and
         #: (prefix, relationship type) -> ``<prefix>.<name>``.
         self._by_kind: Dict[str, Counter] = {}
@@ -94,14 +87,12 @@ class EventTap:
         if counter is None:
             counter = self._by_kind[kind] = metrics.counter(f"events.{kind}")
         counter.inc()
-        self.ring.append(event)
         audit = self.audit
         if audit is not None:
             audit.on_event(event)
         if kind == "attribute_updated":
             metrics.counter("propagation.updates").inc()
-            if self.track_propagation:
-                self._measure_propagation(event)
+            self._measure_propagation(event)
         elif kind == "inheritor_bound":
             self._rel_counter("inheritance.bound", event.data["rel_type"]).inc()
         elif kind == "inheritor_unbound":
@@ -144,14 +135,6 @@ class EventTap:
                 depth=max((depth for _, _, depth in depths), default=0),
             )
 
-    # -- inspection --------------------------------------------------------------
-
-    def recent(self, kind: Optional[str] = None) -> List[Event]:
-        """The buffered events, oldest first, optionally filtered by kind."""
-        if kind is None:
-            return list(self.ring)
-        return [event for event in self.ring if event.kind == kind]
-
     # -- lifecycle ---------------------------------------------------------------
 
     def detach(self) -> None:
@@ -162,4 +145,4 @@ class EventTap:
 
     def __repr__(self) -> str:
         attached = "attached" if self._subscription is not None else "detached"
-        return f"<EventTap {attached} buffered={len(self.ring)}>"
+        return f"<EventTap {attached}>"

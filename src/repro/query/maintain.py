@@ -7,8 +7,8 @@ permeability-aware cone of ``(subject, member)`` once and refreshes value
 index entries, then view cells, for the subject and the cone's inheritors;
 a bind or unbind refreshes whole entries and rows in the inheritor's
 downstream subtree.  The walk happens only when a consumer exists (an index
-on the member, any view for an attribute change, a propagation-measuring
-event tap for an update), and the walked :class:`Cone` rides on the event
+on the member, any view for an attribute change, an attached event tap
+for an update), and the walked :class:`Cone` rides on the event
 (``Event.cone``) for the tap, the slow log and the audit log.  See
 ``docs/query.md``.
 """
@@ -69,8 +69,7 @@ class Maintainer:
                  if reason in ("attribute_updated", "attribute_restored") else None)
         obs = self.database.obs
         if not (indexes or views or (
-                obs is not None and obs.tap.track_propagation
-                and reason == "attribute_updated")):
+                obs is not None and reason == "attribute_updated")):
             return None
         timed = obs is not None and obs.slowlog is not None
         started = perf_counter() if timed else 0.0

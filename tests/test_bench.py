@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.engine.events import EventBus
 from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
     BenchSuite,
@@ -32,6 +33,7 @@ from repro.obs.bench import (
     write_snapshot,
 )
 from repro.obs.profiler import PROFILE_SCHEMA_VERSION, SamplingProfiler
+from repro.obs.provenance import AuditLog
 from repro.obs.slowlog import (
     DEFAULT_BUDGETS,
     SLOWLOG_SCHEMA_VERSION,
@@ -371,6 +373,23 @@ class TestConfirmRegressions:
 # the repro bench CLI (golden round-trip)
 # ---------------------------------------------------------------------------
 
+class SteppingClock:
+    """Stands in for the ``time`` module: ``perf_counter`` advances
+    ``step`` seconds per call (at least the quick calibration target, so
+    calibration stops at one iteration); everything else is ``time``'s."""
+
+    def __init__(self, step: float = 0.01):
+        self.now = 0.0
+        self.step = step
+
+    def perf_counter(self) -> float:
+        self.now += self.step
+        return self.now
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
 class TestBenchCLI:
     @pytest.fixture
     def bench_dir(self, tmp_path):
@@ -393,12 +412,12 @@ class TestBenchCLI:
         assert [r["name"] for r in snap["results"]] == ["squares"]
 
     def test_compare_gate_quiet_then_fires_then_warn_only(
-        self, bench_dir, tmp_path, capsys
+        self, bench_dir, tmp_path, capsys, monkeypatch
     ):
-        from repro.obs import race
-
-        if race.active() is not None:
-            pytest.skip("sanitizer overhead perturbs the clean-pair timing")
+        # A clock that advances one fixed step per reading: every timed
+        # loop reads the same duration, so the clean pair is identical
+        # whatever the host's speed does between the two runs.
+        monkeypatch.setattr("repro.obs.bench.time", SteppingClock())
         root = tmp_path / "trajectory"
         root.mkdir()
         assert self.bench(bench_dir=bench_dir, root=root) == 0
@@ -578,18 +597,20 @@ class TestSlowLog:
         assert log.budget("txn") == DEFAULT_BUDGETS["txn"]
 
     def test_ring_bounded_but_recorded_total(self):
-        log = SlowLog(budgets={"query": 0.0}, ring_size=4)
+        # The audit ring is the only buffer: it bounds what is kept.
+        audit = AuditLog(EventBus(), ring_size=4)
+        log = SlowLog(budgets={"query": 0.0}, audit=audit)
         for index in range(10):
             op = log.note("query", 0.01, subject=f"q{index}", rows=index)
             assert op is not None and op.detail["rows"] == index
         assert log.recorded == 10
-        assert len(log) == 4
+        assert audit.appended == 10
         assert [op.subject for op in log.operations("query")] == [
             "q6", "q7", "q8", "q9",
         ]
 
     def test_snapshot_and_render(self):
-        log = SlowLog(budgets={"expansion": 0.0})
+        log = SlowLog(budgets={"expansion": 0.0}, audit=AuditLog(EventBus()))
         log.note("expansion", 0.2, subject="Gate#1", objects=31, depth=None)
         snap = log.snapshot()
         assert snap["schema"] == SLOWLOG_SCHEMA_VERSION
@@ -597,11 +618,54 @@ class TestSlowLog:
         [entry] = snap["operations"]
         assert entry["kind"] == "expansion"
         assert entry["detail"]["objects"] == 31
+        assert entry["seq"] is not None
         assert json.dumps(snap)
         rendered = log.render()
         assert "[expansion]" in rendered and "objects: 31" in rendered
-        log.clear()
-        assert "empty" in log.render() and log.recorded == 1
+        assert f"#{entry['seq']} [expansion]" in rendered
+        assert "empty" in SlowLog().render()
+
+    def test_without_audit_counts_and_keeps_nothing(self):
+        db = gate_database("slowlog-dark-audit")
+        iface = make_interface(db)
+        make_implementation(db, iface)
+        db.enable_observability(
+            tracing=False, audit=False, slow_budgets={"propagation": 0.0}
+        )
+        iface.set_attribute("Length", 23)
+        iface.set_attribute("Length", 24)
+        slowlog = db.obs.slowlog
+        assert slowlog.audit is None
+        assert slowlog.recorded == 2
+        assert db.obs.metrics.value("slowlog.propagation") == 2
+        assert slowlog.note("propagation", 1.0, subject=iface) is None
+        assert slowlog.recorded == 3
+        assert slowlog.operations() == []
+        assert slowlog.snapshot()["operations"] == []
+        assert slowlog.snapshot()["recorded"] == 3
+        assert "3 over-budget operation(s)" in slowlog.render()
+
+    def test_operations_are_the_audit_rings_slowlog_records(self):
+        db = gate_database("slowlog-one-stream")
+        iface = make_interface(db)
+        impls = [make_implementation(db, iface) for _ in range(2)]
+        db.enable_observability(tracing=False, slow_budgets={"propagation": 0.0})
+        appended = db.obs.audit.appended
+        iface.set_attribute("Length", 31)
+        records = db.obs.audit.records("slowlog.propagation")
+        ops = db.obs.slowlog.operations()
+        assert len(records) == len(ops) == 1
+        for op, record in zip(ops, records):
+            assert op.seq == record.seq
+            assert op.subject is record.subject is iface
+            detail = dict(record.detail)
+            assert op.duration == detail.pop("duration")
+            assert op.budget == detail.pop("budget") == 0.0
+            assert op.detail == detail
+            assert op.detail["fanout"] == len(impls)
+        # The update, its fan-out record and the slow record: one entry
+        # each, with nothing stored twice.
+        assert db.obs.audit.appended - appended == 3
 
     def test_slow_query_captures_explain_plan(self):
         db = gate_database("slowlog-query")
@@ -701,16 +765,16 @@ class TestReport:
             "counters": {
                 "propagation.updates": 4,
                 "propagation.fanout_total": 40,
-                "cache.hits": 9,
-                "cache.misses": 1,
+                "reads.inherited": 9,
             },
             "histograms": {"propagation.fanout": {"mean": 10.0}},
         })
         assert stats["updates"] == 4
         assert stats["mean fan-out"] == 10.0
-        assert stats["cache hit rate"] == 0.9
+        assert stats["inherited reads"] == 9
+        assert "cache hit rate" not in stats
         empty = report._snapshot_stats({})
-        assert empty["updates"] == 0 and empty["cache hit rate"] is None
+        assert empty["updates"] == 0 and empty["mean fan-out"] is None
 
     def test_e18_registered(self):
         from benchmarks import report

@@ -102,7 +102,6 @@ class TestDefaultRulesFireAndClear:
     @pytest.mark.parametrize(
         "name,hits,misses,traffic",
         [
-            ("cache-hit-collapse", "cache.hits", "cache.misses", 200),
             ("view-hit-collapse", "query.view.hits", "query.view.misses", 40),
         ],
     )
@@ -168,7 +167,7 @@ class TestDefaultRulesFireAndClear:
     def test_every_default_rule_is_exercised_above(self):
         tested = {
             "view-staleness-growth", "audit-overflow", "index-self-heal",
-            "slowlog-rate", "cache-hit-collapse", "view-hit-collapse",
+            "slowlog-rate", "view-hit-collapse",
             "lock-wait-p95", "lock-timeouts",
         }
         assert tested == set(rules_by_name())

@@ -246,14 +246,43 @@ class TestEventTap:
         assert metrics.value("propagation.fanout_total") == 3 + 2
 
     def test_event_kind_counters_and_ring(self):
-        db = observed_gate_database(ring_size=4)
+        # The tap counts every event; the audit ring is what keeps them.
+        db = observed_gate_database(audit_ring=4)
         iface = make_interface(db, n_in=1, n_out=1)
-        tap = db.obs.tap
+        audit = db.obs.audit
         assert db.obs.metrics.value("events.subobject_added") == 2
-        assert len(tap.recent()) == 4  # ring capped
-        kinds = {event.kind for event in tap.recent()}
+        assert len(audit.events()) == 4  # ring capped
+        kinds = {event.kind for event in audit.events()}
         assert kinds <= {"object_created", "subobject_added", "attribute_updated"}
-        assert tap.recent("subobject_added")[-1].subject is iface
+        added = [e for e in audit.events() if e.kind == "subobject_added"]
+        assert added[-1].subject is iface
+        assert not hasattr(db.obs.tap, "ring")
+
+    def test_snapshot_events_are_the_audit_rings_bus_events(self):
+        db = gate_database("one-stream", record_events=True)
+        db.enable_observability()
+        iface = make_interface(db)
+        make_implementation(db, iface)
+        iface.set_attribute("Length", 12)
+        emitted = db.events.history
+        assert any(event.cone is not None for event in emitted)
+        events = snapshot(db)["events"]
+        assert events["ring_size"] == db.obs.audit.ring.maxlen
+        recent = events["recent"]
+        assert [(e["seq"], e["kind"]) for e in recent] == [
+            (event.seq, event.kind) for event in emitted
+        ]
+        assert [e["seq"] for e in recent] == [
+            event.seq for event in db.obs.audit.events()
+        ]
+        for entry in recent:
+            assert "cone" not in entry and "cone" not in entry["data"]
+
+    def test_snapshot_without_audit_has_no_recent_events(self):
+        db = observed_gate_database(audit=False)
+        make_interface(db)
+        assert db.obs.metrics.value("events.object_created") >= 1
+        assert snapshot(db)["events"] == {"ring_size": 0, "recent": []}
 
     def test_observe_false_adds_zero_subscriptions(self):
         db = gate_database("unobserved")
@@ -345,25 +374,6 @@ class TestInstrumentedPaths:
         assert db.obs.metrics.value("persistence.objects_dumped") == db.count()
         assert db.obs.tracer.find("persistence.dump")
 
-    def test_cache_metrics(self):
-        from repro.composition.cache import InheritedValueCache
-
-        db = observed_gate_database()
-        iface = make_interface(db)
-        impl = make_implementation(db, iface)
-        cache = InheritedValueCache(db)
-        cache.get(impl, "Length")
-        cache.get(impl, "Length")
-        metrics = db.obs.metrics
-        assert metrics.value("cache.misses") == 1
-        assert metrics.value("cache.hits") == 1
-        iface.set_attribute("Length", 55)
-        # Epoch-based invalidation is lazy: counted at the read that finds
-        # the entry stale.
-        assert cache.get(impl, "Length") == 55
-        assert metrics.value("cache.invalidations") == 1
-        cache.detach()
-
     def test_expand_metrics(self):
         from repro.composition import add_component
         from repro.composition.composite import expand
@@ -419,8 +429,7 @@ class TestReport:
         stats = derived_stats(snapshot(db))
         assert stats["propagation_updates"] > 0
         assert stats["lock_acquisitions"] > 0
-        assert stats["cache_hits"] > 0 and stats["cache_misses"] > 0
-        assert stats["cache_hit_rate"] == pytest.approx(0.5)
+        assert stats["propagation_fanout_total"] > 0
         assert stats["inherited_reads"] > 0
 
     def test_exercise_does_not_change_values(self):
@@ -460,7 +469,7 @@ class TestPlumbing:
     def test_tap_on_plain_bus(self):
         bus = EventBus()
         registry = MetricsRegistry()
-        tap = EventTap(bus, registry, track_propagation=False)
+        tap = EventTap(bus, registry)
         bus.emit("custom_kind", subject=None, payload=1)
         assert registry.value("events.custom_kind") == 1
         tap.detach()

@@ -142,13 +142,15 @@ class TestCausalStamps:
 class TestAuditLog:
     def test_mirrors_bus_events_with_their_stamps(self, db):
         iface = make_interface(db)
-        event_seqs = {
-            r.seq for r in db.obs.audit.records(kind="attribute_updated")
-        }
-        assert event_seqs  # creation set Length/Width
-        # Mirrored records carry the event's own seq (same total order).
-        recent = {e.seq for e in db.obs.tap.recent("attribute_updated")}
-        assert recent <= event_seqs
+        records = db.obs.audit.records(kind="attribute_updated")
+        assert records  # creation set Length/Width
+        # Mirrored records carry the event's own stamps (same total order).
+        events = [
+            e for e in db.obs.audit.events() if e.kind == "attribute_updated"
+        ]
+        assert [(e.seq, e.ts, e.cause, e.trace) for e in events] == [
+            (r.seq, r.ts, r.cause, r.trace) for r in records
+        ]
         assert iface.get_member("Length") == 10
 
     def test_derived_records_share_the_global_counter(self, db):
