@@ -7,12 +7,8 @@ attached, (c) tracker + a trigger, (d) event recording on — each across a
 fan-out of inheritors.
 """
 
-import pytest
-
 from repro.consistency import AdaptationTracker, TriggerRegistry
 from repro.workloads import gate_database, make_implementation, make_interface
-
-FANOUTS = [1, 50]
 
 
 def populated(db, n_impls):
@@ -22,84 +18,65 @@ def populated(db, n_impls):
     return iface
 
 
-class TestUpdatePathOverhead:
-    @pytest.mark.parametrize("n_impls", FANOUTS)
-    def test_bare_update(self, benchmark, n_impls):
-        db = gate_database("e10")
-        iface = populated(db, n_impls)
-        counter = iter(range(10**9))
-        benchmark(lambda: iface.set_attribute("Length", next(counter) % 500))
-
-    @pytest.mark.parametrize("n_impls", FANOUTS)
-    def test_update_with_adaptation_tracker(self, benchmark, n_impls):
-        db = gate_database("e10")
-        tracker = AdaptationTracker(db)
-        iface = populated(db, n_impls)
-        counter = iter(range(10**9))
-        benchmark(lambda: iface.set_attribute("Length", next(counter) % 500))
-        assert tracker.all_pending()  # the records really accrued
-
-    @pytest.mark.parametrize("n_impls", FANOUTS)
-    def test_update_with_tracker_and_trigger(self, benchmark, n_impls):
-        db = gate_database("e10")
-        AdaptationTracker(db)
-        registry = TriggerRegistry(db)
-        fired = []
-        registry.register(
-            "watch",
-            "attribute_updated",
-            fired.append,
-            condition=lambda e: e.attribute == "Length",
-        )
-        iface = populated(db, n_impls)
-        counter = iter(range(10**9))
-        benchmark(lambda: iface.set_attribute("Length", next(counter) % 500))
-        assert fired
-
-    def test_update_with_event_recording(self, benchmark):
-        db = gate_database("e10", record_events=True)
-        iface = populated(db, 10)
-        counter = iter(range(10**9))
-        benchmark(lambda: iface.set_attribute("Length", next(counter) % 500))
-        assert db.events.history
-
-
-class TestWorklistScan:
-    @pytest.mark.parametrize("n_impls", [10, 100])
-    def test_worklist_after_updates(self, benchmark, n_impls):
-        db = gate_database("e10")
-        tracker = AdaptationTracker(db)
-        iface = populated(db, n_impls)
-        for value in range(5):
-            iface.set_attribute("Length", value + 1)
-        worklist = benchmark(tracker.inheritors_needing_adaptation)
-        assert len(worklist) == n_impls
+def updater(iface):
+    counter = iter(range(10**9))
+    return lambda: iface.set_attribute("Length", next(counter) % 500)
 
 
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    fanout = 10 if suite.quick else 50
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for fanout in [10] if suite.quick else [1, 50]:
 
-    @suite.case(f"bare_update[{fanout}]")
-    def bare_case():
-        db = gate_database("e10")
-        iface = populated(db, fanout)
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", next(counter) % 500)
+        @suite.case(f"bare_update[{fanout}]")
+        def bare_case(fanout=fanout):
+            return updater(populated(gate_database("e10"), fanout))
 
-    @suite.case(f"update_with_tracker[{fanout}]")
-    def tracker_case():
-        db = gate_database("e10")
-        AdaptationTracker(db)
-        iface = populated(db, fanout)
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", next(counter) % 500)
+        @suite.case(f"update_with_tracker[{fanout}]")
+        def tracker_case(fanout=fanout):
+            db = gate_database("e10")
+            tracker = AdaptationTracker(db)
+            update = updater(populated(db, fanout))
+            update()
+            assert tracker.all_pending()  # the records really accrue
+            return update
 
-    @suite.case(f"worklist_scan[{fanout}]")
-    def worklist_case():
-        db = gate_database("e10")
-        tracker = AdaptationTracker(db)
-        iface = populated(db, fanout)
-        for value in range(5):
-            iface.set_attribute("Length", value + 1)
-        return tracker.inheritors_needing_adaptation
+    for fanout in [10] if suite.quick else [10, 50, 100]:
+
+        @suite.case(f"worklist_scan[{fanout}]")
+        def worklist_case(fanout=fanout):
+            db = gate_database("e10")
+            tracker = AdaptationTracker(db)
+            iface = populated(db, fanout)
+            for value in range(5):
+                iface.set_attribute("Length", value + 1)
+            assert len(tracker.inheritors_needing_adaptation()) == fanout
+            return tracker.inheritors_needing_adaptation
+
+    if suite.quick:
+        return
+
+    for fanout in [1, 50]:
+
+        @suite.case(f"update_with_tracker_and_trigger[{fanout}]")
+        def trigger_case(fanout=fanout):
+            db = gate_database("e10")
+            AdaptationTracker(db)
+            fired = []
+            TriggerRegistry(db).register(
+                "watch",
+                "attribute_updated",
+                fired.append,
+                condition=lambda e: e.attribute == "Length",
+            )
+            update = updater(populated(db, fanout))
+            update()
+            assert fired
+            return update
+
+    @suite.case("update_with_event_recording")
+    def recording_case():
+        db = gate_database("e10", record_events=True)
+        update = updater(populated(db, 10))
+        update()
+        assert db.events.history
+        return update

@@ -5,13 +5,9 @@ be linear in object count, and a loaded database must preserve the value-
 inheritance read path (asserted).
 """
 
-import pytest
-
 from repro.engine import Database, dump_image, load_image
 from repro.ddl.paper import load_gate_schema
 from repro.workloads import gate_database, generate_library
-
-LIBRARY_SIZES = [10, 50, 200]
 
 
 def library_db(n_interfaces):
@@ -27,26 +23,6 @@ def fresh_target():
 
 
 class TestPersistenceScale:
-    @pytest.mark.parametrize("n_interfaces", LIBRARY_SIZES)
-    def test_dump_image(self, benchmark, n_interfaces):
-        db = library_db(n_interfaces)
-        image = benchmark(dump_image, db)
-        assert len(image["objects"]) == db.count()
-
-    @pytest.mark.parametrize("n_interfaces", LIBRARY_SIZES)
-    def test_load_image(self, benchmark, n_interfaces):
-        db = library_db(n_interfaces)
-        image = dump_image(db)
-
-        def setup():
-            return (fresh_target(),), {}
-
-        def run(target):
-            load_image(image, target)
-            return target
-
-        benchmark.pedantic(run, setup=setup, rounds=5)
-
     def test_loaded_inheritance_is_live(self):
         db = library_db(5)
         image = dump_image(db)
@@ -61,20 +37,21 @@ class TestPersistenceScale:
 
 
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    n_interfaces = 10 if suite.quick else 50
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for n in [10] if suite.quick else [10, 50, 200]:
 
-    @suite.case(f"dump_image[{n_interfaces}]")
-    def dump_case():
-        db = library_db(n_interfaces)
-        return lambda: dump_image(db)
+        @suite.case(f"dump_image[{n}]")
+        def dump_case(n=n):
+            db = library_db(n)
+            assert len(dump_image(db)["objects"]) == db.count()
+            return lambda: dump_image(db)
 
-    @suite.case(f"load_image[{n_interfaces}]")
-    def load_case():
-        image = dump_image(library_db(n_interfaces))
+        @suite.case(f"load_image[{n}]")
+        def load_case(n=n):
+            image = dump_image(library_db(n))
 
-        def run():
-            # The fresh target's schema load is part of the round-trip.
-            load_image(image, fresh_target())
+            def run():
+                # The fresh target's schema load is part of the round-trip.
+                load_image(image, fresh_target())
 
-        return run
+            return run

@@ -6,12 +6,8 @@ per-object collection scans (compare `count(Pins)` vs. plain attribute
 predicates).
 """
 
-import pytest
-
 from repro.query import parse_query
 from repro.workloads import gate_database, make_interface
-
-EXTENT_SIZES = [10, 100, 400]
 
 
 def library(n):
@@ -23,55 +19,32 @@ def library(n):
     return db
 
 
-class TestQueryScale:
-    @pytest.mark.parametrize("n", EXTENT_SIZES)
-    def test_attribute_filter(self, benchmark, n):
-        db = library(n)
-        result = benchmark(db.query, "select Length from Cells where Length > 50")
-        assert len(result) == sum(1 for i in range(n) if (i * 7) % 100 > 50)
-
-    @pytest.mark.parametrize("n", EXTENT_SIZES)
-    def test_aggregate_filter(self, benchmark, n):
-        db = library(n)
-        result = benchmark(db.query, "select * from Cells where count(Pins) = 3")
-        assert len(result) == n
-
-    @pytest.mark.parametrize("n", EXTENT_SIZES)
-    def test_order_by_with_limit(self, benchmark, n):
-        db = library(n)
-        result = benchmark(
-            db.query, "select Length from Cells order by Length desc limit 5"
-        )
-        assert len(result) == min(5, n)
-
-    def test_parse_cost(self, benchmark):
-        benchmark(
-            parse_query,
-            "select distinct Length, Length * Width from Cells "
-            "where count(Pins) = 3 and Length > 10 order by Width desc limit 7",
-        )
-
-
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    n = 100 if suite.quick else 400
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for n in [100] if suite.quick else [10, 100, 400]:
 
-    @suite.case(f"attribute_filter[{n}]")
-    def filter_case():
-        db = library(n)
-        return lambda: db.query("select Length from Cells where Length > 50")
+        @suite.case(f"attribute_filter[{n}]")
+        def filter_case(n=n):
+            db = library(n)
+            query = "select Length from Cells where Length > 50"
+            assert len(db.query(query)) == sum(
+                1 for i in range(n) if (i * 7) % 100 > 50
+            )
+            return lambda: db.query(query)
 
-    @suite.case(f"aggregate_filter[{n}]")
-    def aggregate_case():
-        db = library(n)
-        return lambda: db.query("select * from Cells where count(Pins) = 3")
+        @suite.case(f"aggregate_filter[{n}]")
+        def aggregate_case(n=n):
+            db = library(n)
+            query = "select * from Cells where count(Pins) = 3"
+            assert len(db.query(query)) == n
+            return lambda: db.query(query)
 
-    @suite.case(f"order_by_limit[{n}]")
-    def order_case():
-        db = library(n)
-        return lambda: db.query(
-            "select Length from Cells order by Length desc limit 5"
-        )
+        @suite.case(f"order_by_limit[{n}]")
+        def order_case(n=n):
+            db = library(n)
+            query = "select Length from Cells order by Length desc limit 5"
+            assert len(db.query(query)) == min(5, n)
+            return lambda: db.query(query)
 
     @suite.case("parse")
     def parse_case():

@@ -13,13 +13,7 @@ Rows to compare:
 * ``inherited_read_observe_{off,on}`` — one counter increment per hop.
 """
 
-import pytest
-
 from repro.workloads import gate_database, make_implementation, make_interface
-
-from benchmarks import obs_hook
-
-FANOUTS = [1, 10, 100]
 
 
 def _setup(n_impls, observe):
@@ -32,62 +26,30 @@ def _setup(n_impls, observe):
     return db, iface
 
 
-class TestUpdateOverhead:
-    @pytest.mark.parametrize("n_impls", FANOUTS)
-    def test_update_observe_off(self, benchmark, n_impls):
-        """Must match E2's update_with_inheritance within noise."""
-        db, iface = _setup(n_impls, observe=False)
-        counter = iter(range(10**9))
-
-        def update():
-            iface.set_attribute("Length", 10 + next(counter) % 50)
-
-        benchmark(update)
-        assert db.obs is None
-
-    @pytest.mark.parametrize("n_impls", FANOUTS)
-    def test_update_observe_on(self, benchmark, n_impls):
-        """Measured updates pay the O(fan-out) propagation walk."""
-        db, iface = _setup(n_impls, observe=True)
-        counter = iter(range(10**9))
-
-        def update():
-            iface.set_attribute("Length", 10 + next(counter) % 50)
-
-        benchmark(update)
-        assert db.obs.metrics.value("propagation.updates") > 0
-        obs_hook.collect(db, label=f"update_observe_on[{n_impls}]")
-
-
-class TestReadOverhead:
-    def test_inherited_read_observe_off(self, benchmark):
-        db, iface = _setup(1, observe=False)
-        impl = db.objects_of_type("GateImplementation")[0]
-        benchmark(impl.get_member, "Length")
-
-    def test_inherited_read_observe_on(self, benchmark):
-        db, iface = _setup(1, observe=True)
-        impl = db.objects_of_type("GateImplementation")[0]
-        benchmark(impl.get_member, "Length")
-        assert db.obs.metrics.value("reads.inherited") > 0
-        obs_hook.collect(db, label="inherited_read_observe_on")
-
-
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    fanout = 10
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for fanout in [10] if suite.quick else [1, 10, 100]:
 
-    @suite.case(f"update_observe_off[{fanout}]")
-    def dark_case():
-        db, iface = _setup(fanout, observe=False)
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
+        @suite.case(f"update_observe_off[{fanout}]")
+        def dark_case(fanout=fanout):
+            """Must match E2's update_with_inheritance within noise."""
+            db, iface = _setup(fanout, observe=False)
+            assert db.obs is None
+            counter = iter(range(10**9))
+            return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
 
-    @suite.case(f"update_observe_on[{fanout}]")
-    def observed_case():
-        db, iface = _setup(fanout, observe=True)
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
+        @suite.case(f"update_observe_on[{fanout}]")
+        def observed_case(fanout=fanout):
+            """Measured updates pay the O(fan-out) propagation walk."""
+            db, iface = _setup(fanout, observe=True)
+            counter = iter(range(10**9))
+
+            def update():
+                iface.set_attribute("Length", 10 + next(counter) % 50)
+
+            update()
+            assert db.obs.metrics.value("propagation.updates") > 0
+            return update
 
     @suite.case("inherited_read_observe_off")
     def read_dark_case():
@@ -99,4 +61,6 @@ def register(suite):
     def read_observed_case():
         db, iface = _setup(1, observe=True)
         impl = db.objects_of_type("GateImplementation")[0]
+        impl.get_member("Length")
+        assert db.obs.metrics.value("reads.inherited") > 0
         return lambda: impl.get_member("Length")

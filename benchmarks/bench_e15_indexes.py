@@ -12,8 +12,6 @@ The acceptance shape: at 50k the indexed equality beats the scan by ≥10×
 and the indexed range+top-k by ≥5×; updates stay O(indexes touched).
 """
 
-import pytest
-
 from repro.core.domains import ANY
 from repro.engine import Database
 
@@ -59,104 +57,42 @@ def run_with(db, text, auto):
         manager.auto = previous
 
 
-class TestSelectiveEquality:
-    @pytest.mark.parametrize("n", SIZES)
-    def test_eq_indexed(self, benchmark, n):
-        db = parts_db(n)
-        result = benchmark(
-            run_with, db, "select * from Parts where Category = 'cat_3'", True
-        )
-        assert len(result) == 100
-        assert result.plan.access_path == "index-eq"
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_eq_full_scan(self, benchmark, n):
-        db = parts_db(n)
-        result = benchmark(
-            run_with, db, "select * from Parts where Category = 'cat_3'", False
-        )
-        assert len(result) == 100
-        assert result.plan.access_path == "full-scan"
+EQ_QUERY = "select * from Parts where Category = 'cat_3'"
 
 
-class TestRangeTopK:
-    @pytest.mark.parametrize("n", SIZES)
-    def test_range_topk_indexed(self, benchmark, n):
-        db = parts_db(n)
-        text = (
-            f"select Serial from Parts where Serial >= {n - n // 100} "
-            "order by Serial desc limit 10"
-        )
-        result = benchmark(run_with, db, text, True)
-        assert result.scalars() == list(range(n - 1, n - 11, -1))
-        assert result.plan.access_path == "index-range"
-        assert result.plan.order == "top-10 heap desc"
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_range_topk_full_scan(self, benchmark, n):
-        db = parts_db(n)
-        text = (
-            f"select Serial from Parts where Serial >= {n - n // 100} "
-            "order by Serial desc limit 10"
-        )
-        result = benchmark(run_with, db, text, False)
-        assert result.scalars() == list(range(n - 1, n - 11, -1))
-        assert result.plan.access_path == "full-scan"
-
-
-class TestMaintenance:
-    @pytest.mark.parametrize("n", SIZES)
-    def test_update_with_indexes(self, benchmark, n):
-        """The write-path tax: each update refreshes the attribute's index."""
-        db = parts_db(n)
-        obj = db.class_("Parts").members()[0]
-        counter = iter(range(10**9))
-
-        def run():
-            obj.set_attribute("Weight", next(counter))
-
-        benchmark(run)
-        obj.set_attribute("Weight", 0)
+def top_query(n):
+    return (
+        f"select Serial from Parts where Serial >= {n - n // 100} "
+        "order by Serial desc limit 10"
+    )
 
 
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    sizes = [2_000] if suite.quick else SIZES
-    for n in sizes:
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for n in [2_000] if suite.quick else SIZES:
+        for name, text, auto, access in (
+            ("eq_indexed", EQ_QUERY, True, "index-eq"),
+            ("eq_full_scan", EQ_QUERY, False, "full-scan"),
+            ("range_topk_indexed", top_query(n), True, "index-range"),
+            ("range_topk_full_scan", top_query(n), False, "full-scan"),
+        ):
 
-        @suite.case(f"eq_indexed[{n}]")
-        def eq_indexed_case(n=n):
-            db = parts_db(n)
-            query = "select * from Parts where Category = 'cat_3'"
-            return lambda: run_with(db, query, True)
-
-        @suite.case(f"eq_full_scan[{n}]")
-        def eq_scan_case(n=n):
-            db = parts_db(n)
-            query = "select * from Parts where Category = 'cat_3'"
-            return lambda: run_with(db, query, False)
-
-        @suite.case(f"range_topk_indexed[{n}]")
-        def range_indexed_case(n=n):
-            db = parts_db(n)
-            query = (
-                f"select Serial from Parts where Serial >= {n - n // 100} "
-                "order by Serial desc limit 10"
-            )
-            return lambda: run_with(db, query, True)
-
-        @suite.case(f"range_topk_full_scan[{n}]")
-        def range_scan_case(n=n):
-            db = parts_db(n)
-            query = (
-                f"select Serial from Parts where Serial >= {n - n // 100} "
-                "order by Serial desc limit 10"
-            )
-            return lambda: run_with(db, query, False)
+            @suite.case(f"{name}[{n}]")
+            def query_case(n=n, text=text, auto=auto, access=access):
+                db = parts_db(n)
+                result = run_with(db, text, auto)
+                assert result.plan.access_path == access
+                if text == EQ_QUERY:
+                    assert len(result) == 100
+                else:
+                    assert result.scalars() == list(range(n - 1, n - 11, -1))
+                    if auto:
+                        assert result.plan.order == "top-10 heap desc"
+                return lambda: run_with(db, text, auto)
 
         @suite.case(f"update_with_indexes[{n}]")
         def update_case(n=n):
-            db = parts_db(n)
-            obj = db.class_("Parts").members()[0]
+            """The write-path tax: each update refreshes the attribute's index."""
+            obj = parts_db(n).class_("Parts").members()[0]
             counter = iter(range(10**9))
             return lambda: obj.set_attribute("Weight", next(counter))

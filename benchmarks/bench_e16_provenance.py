@@ -19,13 +19,7 @@ Targets (EXPERIMENTS.md): audit on ≤ 10% over the PR-1 baseline at every
 fan-out; dark ≤ 1% over E13's dark row (same code path, one extra branch).
 """
 
-import pytest
-
 from repro.workloads import gate_database, make_implementation, make_interface
-
-from benchmarks import obs_hook
-
-FANOUTS = [1, 10, 100]
 
 
 def _setup(n_impls, observe, audit=True):
@@ -38,98 +32,68 @@ def _setup(n_impls, observe, audit=True):
     return db, iface
 
 
-class TestUpdateOverhead:
-    @pytest.mark.parametrize("n_impls", FANOUTS)
-    def test_update_dark(self, benchmark, n_impls):
-        """Observe off: the audit guards must stay one load + branch."""
-        db, iface = _setup(n_impls, observe=False)
-        counter = iter(range(10**9))
+def updater(iface):
+    counter = iter(range(10**9))
 
-        def update():
-            iface.set_attribute("Length", 10 + next(counter) % 50)
+    def update():
+        iface.set_attribute("Length", 10 + next(counter) % 50)
 
-        benchmark(update)
-        assert db.obs is None
-
-    @pytest.mark.parametrize("n_impls", FANOUTS)
-    def test_update_audit_off(self, benchmark, n_impls):
-        """Observe on, audit off: the PR-1 measurement baseline."""
-        db, iface = _setup(n_impls, observe=True, audit=False)
-        counter = iter(range(10**9))
-
-        def update():
-            iface.set_attribute("Length", 10 + next(counter) % 50)
-
-        benchmark(update)
-        assert db.obs.audit is None
-        assert db.obs.metrics.value("propagation.updates") > 0
-
-    @pytest.mark.parametrize("n_impls", FANOUTS)
-    def test_update_audit_on(self, benchmark, n_impls):
-        """Audit on: one batched propagation.fanout record per update."""
-        db, iface = _setup(n_impls, observe=True, audit=True)
-        counter = iter(range(10**9))
-
-        def update():
-            iface.set_attribute("Length", 10 + next(counter) % 50)
-
-        benchmark(update)
-        audit = db.obs.audit
-        assert audit is not None and audit.appended > 0
-        fanouts = audit.records(kind="propagation.fanout")
-        assert fanouts
-        assert len(fanouts[-1].detail["reached"]) == n_impls
-        cones = audit.cones(kind="attribute_updated")
-        assert any(cone.breadth == n_impls for cone in cones)
-        obs_hook.collect(db, label=f"update_audit_on[{n_impls}]")
+    update()
+    return update
 
 
-class TestProvenanceQueries:
-    def test_explain_value(self, benchmark):
+def register(suite):
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for fanout in [10] if suite.quick else [1, 10, 100]:
+
+        @suite.case(f"update_dark[{fanout}]")
+        def dark_case(fanout=fanout):
+            """Observe off: the audit guards must stay one load + branch."""
+            db, iface = _setup(fanout, observe=False)
+            assert db.obs is None
+            return updater(iface)
+
+        @suite.case(f"update_audit_off[{fanout}]")
+        def audit_off_case(fanout=fanout):
+            """Observe on, audit off: the PR-1 measurement baseline."""
+            db, iface = _setup(fanout, observe=True, audit=False)
+            update = updater(iface)
+            assert db.obs.audit is None
+            assert db.obs.metrics.value("propagation.updates") > 0
+            return update
+
+        @suite.case(f"update_audit_on[{fanout}]")
+        def audit_on_case(fanout=fanout):
+            """Audit on: one batched propagation.fanout record per update."""
+            db, iface = _setup(fanout, observe=True, audit=True)
+            update = updater(iface)
+            audit = db.obs.audit
+            assert audit is not None and audit.appended > 0
+            fanouts = audit.records(kind="propagation.fanout")
+            assert fanouts and len(fanouts[-1].detail["reached"]) == fanout
+            cones = audit.cones(kind="attribute_updated")
+            assert any(cone.breadth == fanout for cone in cones)
+            return update
+
+    @suite.case("explain_value")
+    def explain_case():
         """The interpretive provenance walk for a one-hop inherited read."""
         db, iface = _setup(1, observe=False)
         impl = db.objects_of_type("GateImplementation")[0]
-        provenance = benchmark(db.explain_value, impl, "Length")
-        assert provenance.holder is iface
-        assert provenance.hops == 1
+        provenance = db.explain_value(impl, "Length")
+        assert provenance.holder is iface and provenance.hops == 1
+        return lambda: db.explain_value(impl, "Length")
 
-    def test_cone_reconstruction(self, benchmark):
+    if suite.quick:
+        return
+
+    @suite.case("cone_reconstruction")
+    def cone_case():
         """Grouping a populated ring into cones (100 updates, fan-out 10)."""
         db, iface = _setup(10, observe=True, audit=True)
         for index in range(100):
             iface.set_attribute("Length", 10 + index % 50)
         audit = db.obs.audit
-
-        cones = benchmark(audit.cones, "attribute_updated")
+        cones = audit.cones("attribute_updated")
         assert cones and all(cone.breadth == 10 for cone in cones if cone.breadth)
-        obs_hook.collect(db, label="cone_reconstruction")
-
-
-def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    fanout = 10
-
-    @suite.case(f"update_dark[{fanout}]")
-    def dark_case():
-        db, iface = _setup(fanout, observe=False)
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
-
-    @suite.case(f"update_audit_off[{fanout}]")
-    def audit_off_case():
-        db, iface = _setup(fanout, observe=True, audit=False)
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
-
-    @suite.case(f"update_audit_on[{fanout}]")
-    def audit_on_case():
-        db, iface = _setup(fanout, observe=True, audit=True)
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
-
-    @suite.case("explain_value")
-    def explain_case():
-        db, iface = _setup(1, observe=False)
-        impl = db.objects_of_type("GateImplementation")[0]
-        assert db.explain_value(impl, "Length").hops == 1
-        return lambda: db.explain_value(impl, "Length")
+        return lambda: audit.cones("attribute_updated")

@@ -20,12 +20,8 @@ re-linting a compiled catalog is cheaper than parsing, and rule cost
 grows roughly linearly with declaration count.
 """
 
-import pytest
-
 from repro.analysis import analyze, model_from_catalog, run_model_rules, verify_against_runtime
 from repro.ddl.paper import GATE_SCHEMA, STEEL_SCHEMA, load_gate_schema, load_steel_schema
-
-SCALES = [8, 32, 128]
 
 
 def _chained_schema(n_types):
@@ -50,65 +46,45 @@ def _chained_schema(n_types):
     return "\n".join(parts)
 
 
-class TestPaperSchemaLint:
-    def test_lint_gate(self, benchmark):
-        findings = benchmark(lambda: analyze(GATE_SCHEMA))
-        assert not any(d.severity == "error" for d in findings)
-
-    def test_lint_steel(self, benchmark):
-        findings = benchmark(lambda: analyze(STEEL_SCHEMA))
-        assert not any(d.severity == "error" for d in findings)
-
-    def test_lint_gate_catalog(self, benchmark):
-        catalog = load_gate_schema()
-        findings = benchmark(
-            lambda: run_model_rules(model_from_catalog(catalog))
-        )
-        assert not any(d.severity == "error" for d in findings)
-
-    def test_lint_steel_catalog(self, benchmark):
-        catalog = load_steel_schema()
-        findings = benchmark(
-            lambda: run_model_rules(model_from_catalog(catalog))
-        )
-        assert not any(d.severity == "error" for d in findings)
-
-
-class TestScaling:
-    @pytest.mark.parametrize("n_types", SCALES)
-    def test_lint_scaling(self, benchmark, n_types):
-        source = _chained_schema(n_types)
-        findings = benchmark(lambda: analyze(source))
-        assert not any(d.severity == "error" for d in findings)
-
-
-class TestDifferential:
-    def test_verify_differential_gate(self, benchmark):
-        report = benchmark(
-            lambda: verify_against_runtime(GATE_SCHEMA, strict=True)
-        )
-        assert report.ok and report.built
+def clean(lint):
+    """``lint`` after checking that it reports no error."""
+    assert not any(d.severity == "error" for d in lint())
+    return lint
 
 
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
+    """The timed cases (see :mod:`repro.obs.bench`)."""
 
     @suite.case("lint_gate")
     def gate_case():
-        return lambda: analyze(GATE_SCHEMA)
+        return clean(lambda: analyze(GATE_SCHEMA))
 
     @suite.case("lint_gate_catalog")
     def catalog_case():
         catalog = load_gate_schema()
-        return lambda: run_model_rules(model_from_catalog(catalog))
+        return clean(lambda: run_model_rules(model_from_catalog(catalog)))
 
-    @suite.case("lint_scaling[32]")
-    def scaling_case():
-        source = _chained_schema(32)
-        return lambda: analyze(source)
+    for n_types in [32] if suite.quick else [8, 32, 128]:
 
-    if not suite.quick:
+        @suite.case(f"lint_scaling[{n_types}]")
+        def scaling_case(n_types=n_types):
+            source = _chained_schema(n_types)
+            return clean(lambda: analyze(source))
 
-        @suite.case("verify_differential_gate")
-        def verify_case():
-            return lambda: verify_against_runtime(GATE_SCHEMA, strict=True)
+    if suite.quick:
+        return
+
+    @suite.case("lint_steel")
+    def steel_case():
+        return clean(lambda: analyze(STEEL_SCHEMA))
+
+    @suite.case("lint_steel_catalog")
+    def steel_catalog_case():
+        catalog = load_steel_schema()
+        return clean(lambda: run_model_rules(model_from_catalog(catalog)))
+
+    @suite.case("verify_differential_gate")
+    def verify_case():
+        report = verify_against_runtime(GATE_SCHEMA, strict=True)
+        assert report.ok and report.built
+        return lambda: verify_against_runtime(GATE_SCHEMA, strict=True)

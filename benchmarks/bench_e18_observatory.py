@@ -19,8 +19,8 @@ the two new surfaces:
   is counted; with the audit log off, as here, no record is kept).
 
 Reads are batched (``BATCH`` per timed call) so the profiler's
-start/stop thread lifecycle — paid once per measurement in the harness
-adapter — is amortised below the effect being measured.
+start/stop thread lifecycle — paid once per timed call — is amortised
+below the effect being measured.
 """
 
 import time
@@ -60,76 +60,28 @@ def _setup(observe, slowlog=True, budgets=None):
     return db, iface
 
 
-class TestProfilerTax:
-    def test_reads_unprofiled(self, benchmark):
-        """The baseline: BATCH deep-chain reads, no sampler attached."""
-        benchmark(deep_read_batch("E18B"))
+def updater(iface):
+    counter = iter(range(10**9))
 
-    def test_reads_profiled_1khz(self, benchmark):
-        """Same loop with the 1 kHz sampler on: the GIL-handoff tax."""
-        run = deep_read_batch("E18P")
-        profiler = SamplingProfiler(interval=0.001)
-        profiler.start()
-        try:
-            benchmark(run)
-            # Under --benchmark-disable the loop runs once (~1ms), too
-            # short for a 1kHz sampler: keep reading until it lands one.
-            deadline = time.perf_counter() + 2.0
-            while profiler.samples == 0 and time.perf_counter() < deadline:
-                run()
-        finally:
-            profiler.stop()
-        # The sampler really watched the loop, and saw the hot frames.
-        assert profiler.samples > 0
+    def update():
+        iface.set_attribute("Length", 10 + next(counter) % 50)
 
-
-class TestSlowlogTax:
-    def test_update_slowlog_dark(self, benchmark):
-        """Observe off: the slowlog guards must stay one load + branch."""
-        db, iface = _setup(observe=False)
-        counter = iter(range(10**9))
-        benchmark(lambda: iface.set_attribute("Length", 10 + next(counter) % 50))
-        assert db.obs is None
-
-    def test_update_slowlog_detached(self, benchmark):
-        """Observe on, slow log off: the pre-PR-6 measurement baseline."""
-        db, iface = _setup(observe=True, slowlog=False)
-        counter = iter(range(10**9))
-        benchmark(lambda: iface.set_attribute("Length", 10 + next(counter) % 50))
-        assert db.obs.slowlog is None
-
-    def test_update_slowlog_quiet(self, benchmark):
-        """Attached but under budget: two clock reads, nothing recorded."""
-        db, iface = _setup(observe=True, slowlog=True)
-        counter = iter(range(10**9))
-        benchmark(lambda: iface.set_attribute("Length", 10 + next(counter) % 50))
-        assert db.obs.slowlog is not None
-        assert db.obs.slowlog.recorded == 0
-
-    def test_update_slowlog_firing(self, benchmark):
-        """Zero budget: every propagation records its diagnosis."""
-        db, iface = _setup(
-            observe=True, slowlog=True, budgets={"propagation": 0.0}
-        )
-        counter = iter(range(10**9))
-        benchmark(lambda: iface.set_attribute("Length", 10 + next(counter) % 50))
-        # audit=False: the slow log counts every overrun and keeps none.
-        slowlog = db.obs.slowlog
-        assert slowlog.recorded > 0
-        assert db.obs.metrics.value("slowlog.propagation") == slowlog.recorded
-        assert slowlog.operations() == []
+    update()
+    return update
 
 
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
+    """The timed cases (see :mod:`repro.obs.bench`)."""
     batch = 1_000 if suite.quick else BATCH
 
     @suite.case(f"reads_unprofiled[{batch}]")
     def base_case():
+        """The baseline: ``batch`` deep-chain reads, no sampler attached."""
         return deep_read_batch("E18HB", batch)
 
     @suite.case(f"reads_profiled_1khz[{batch}]")
     def profiled_case():
+        """Same loop with the 1 kHz sampler on: the GIL-handoff tax."""
         run = deep_read_batch("E18HP", batch)
         profiler = SamplingProfiler(interval=0.001)
 
@@ -139,30 +91,46 @@ def register(suite):
             with profiler:
                 run()
 
+        # The sampler must really watch the loop: keep reading under one
+        # start until it lands a sample (one batch is shorter than the
+        # first sampling interval).
+        deadline = time.perf_counter() + 2.0
+        with profiler:
+            while profiler.samples == 0 and time.perf_counter() < deadline:
+                run()
+        assert profiler.samples > 0
         return timed
 
     @suite.case("update_slowlog_dark")
     def dark_case():
+        """Observe off: the slowlog guards must stay one load + branch."""
         db, iface = _setup(observe=False)
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
+        assert db.obs is None
+        return updater(iface)
 
     @suite.case("update_slowlog_detached")
     def detached_case():
+        """Observe on, slow log off: the pre-PR-6 measurement baseline."""
         db, iface = _setup(observe=True, slowlog=False)
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
+        assert db.obs.slowlog is None
+        return updater(iface)
 
     @suite.case("update_slowlog_quiet")
     def quiet_case():
+        """Attached but under budget: two clock reads, nothing recorded."""
         db, iface = _setup(observe=True, slowlog=True)
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
+        update = updater(iface)
+        assert db.obs.slowlog is not None and db.obs.slowlog.recorded == 0
+        return update
 
     @suite.case("update_slowlog_firing")
     def firing_case():
-        db, iface = _setup(
-            observe=True, slowlog=True, budgets={"propagation": 0.0}
-        )
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
+        """Zero budget: every propagation records its diagnosis."""
+        db, iface = _setup(observe=True, slowlog=True, budgets={"propagation": 0.0})
+        update = updater(iface)
+        # audit=False: the slow log counts every overrun and keeps none.
+        slowlog = db.obs.slowlog
+        assert slowlog.recorded > 0
+        assert db.obs.metrics.value("slowlog.propagation") == slowlog.recorded
+        assert slowlog.operations() == []
+        return update

@@ -29,10 +29,9 @@ take the plans indexes *don't* cover (inherited members, range-heavy
 residuals over unindexed attributes).
 """
 
-import pytest
-
 from repro.core.domains import ANY
 from repro.engine import Database
+from repro.obs.bench import alternating_best
 from repro.query.executor import run_query
 
 SIZES = [10_000, 50_000]
@@ -80,105 +79,30 @@ def gates_db(n, fan_out=FAN_OUT):
     return _cache[key]
 
 
+def write_round(interfaces):
+    for i, iface in enumerate(interfaces):
+        iface.set_attribute("Length", (i + 1) % 97)
+
+
 def expected(n, fan_out, predicate):
     return sum(
         1 for i in range(n) if predicate((i // fan_out) % 97)
     )
 
 
-class TestEqualityScan:
-    @pytest.mark.parametrize("n", SIZES)
-    def test_eq_view(self, benchmark, n):
-        db, _ = gates_db(n)
-        result = benchmark(run_query, db, EQ_QUERY)
-        assert len(result) == expected(n, FAN_OUT, lambda v: v == 5)
-        assert result.plan.access_path == "view"
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_eq_live_compiled(self, benchmark, n):
-        db, _ = gates_db(n)
-        result = benchmark(run_query, db, EQ_QUERY, views=False)
-        assert len(result) == expected(n, FAN_OUT, lambda v: v == 5)
-        assert result.plan.access_path == "full-scan"
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_eq_tree_walk(self, benchmark, n):
-        db, _ = gates_db(n)
-        result = benchmark(run_query, db, EQ_QUERY, views=False, compiled=False)
-        assert len(result) == expected(n, FAN_OUT, lambda v: v == 5)
-
-
-class TestRangeScan:
-    @pytest.mark.parametrize("n", SIZES)
-    def test_range_view(self, benchmark, n):
-        db, _ = gates_db(n)
-        result = benchmark(run_query, db, RANGE_QUERY)
-        assert len(result) == expected(n, FAN_OUT, lambda v: v > 90)
-        assert result.plan.access_path == "view"
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_range_live_compiled(self, benchmark, n):
-        db, _ = gates_db(n)
-        result = benchmark(run_query, db, RANGE_QUERY, views=False)
-        assert len(result) == expected(n, FAN_OUT, lambda v: v > 90)
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_range_tree_walk(self, benchmark, n):
-        db, _ = gates_db(n)
-        result = benchmark(
-            run_query, db, RANGE_QUERY, views=False, compiled=False
-        )
-        assert len(result) == expected(n, FAN_OUT, lambda v: v > 90)
-
-
-class TestMaintenanceTax:
-    """The write-side price: one transmitter update refreshes fan-out
-    view rows.  Measured as a round of writes over every interface."""
-
-    def _write_round(self, db, interfaces):
-        for i, iface in enumerate(interfaces):
-            iface.set_attribute("Length", (i + 1) % 97)
-
-    @pytest.mark.parametrize("fan_out", [1, FAN_OUT])
-    def test_writes_with_view(self, benchmark, fan_out):
-        db, interfaces = gates_db(10_000, fan_out)
-        run_query(db, EQ_QUERY)  # view built: maintenance is live
-        benchmark(self._write_round, db, interfaces)
-
-    @pytest.mark.parametrize("fan_out", [1, FAN_OUT])
-    def test_writes_without_view(self, benchmark, fan_out):
-        db, interfaces = gates_db(10_000, fan_out)
-        db.views.drop_views()
-        db.views.auto = False  # never rebuilt: the no-view write baseline
-        try:
-            benchmark(self._write_round, db, interfaces)
-        finally:
-            db.views.auto = True
-
-
 class TestAcceptance:
     def test_view_beats_tree_walk_10x_at_50k(self):
-        """The PR's acceptance gate, measured in-process (best of 5)."""
-        from time import perf_counter
-
+        """The PR's acceptance gate, measured in-process (best of 5, the
+        three engine modes alternating round by round)."""
         db, _ = gates_db(50_000)
-
-        def best_of(fn, reps=5):
-            best = float("inf")
-            for _ in range(reps):
-                started = perf_counter()
-                fn()
-                best = min(best, perf_counter() - started)
-            return best
-
         for label, query in (("eq", EQ_QUERY), ("range", RANGE_QUERY)):
             routed = run_query(db, query)
             assert routed.plan.access_path == "view"
-            view = best_of(lambda: run_query(db, query))
-            live = best_of(lambda: run_query(db, query, views=False))
-            walk = best_of(
-                lambda: run_query(db, query, views=False, compiled=False)
-            )
+            view, live, walk = alternating_best([
+                lambda: run_query(db, query),
+                lambda: run_query(db, query, views=False),
+                lambda: run_query(db, query, views=False, compiled=False),
+            ])
             # 7× in-test floor: quiet runs measure ~12× on both scans
             # (see EXPERIMENTS.md); CI boxes get noise headroom.
             assert walk / view >= 7.0, f"{label}: only {walk / view:.1f}x"
@@ -187,62 +111,45 @@ class TestAcceptance:
             assert live / view > 1.0, f"{label}: live {live / view:.2f}x"
 
 
+#: Engine modes: case-name stem, run_query keywords, expected access path.
+MODES = (
+    ("view", {}, "view"),
+    ("live_compiled", {"views": False}, "full-scan"),
+    ("tree_walk", {"views": False, "compiled": False}, "full-scan"),
+)
+
+
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    sizes = [2_000] if suite.quick else SIZES
-    for n in sizes:
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for n in [2_000] if suite.quick else SIZES:
+        for kind, query, predicate in (
+            ("eq", EQ_QUERY, lambda v: v == 5),
+            ("range", RANGE_QUERY, lambda v: v > 90),
+        ):
+            for mode, options, access in MODES:
 
-        @suite.case(f"eq_view[{n}]")
-        def eq_view_case(n=n):
-            db, _ = gates_db(n)
-            return lambda: run_query(db, EQ_QUERY)
+                @suite.case(f"{kind}_{mode}[{n}]")
+                def scan_case(n=n, query=query, predicate=predicate,
+                              options=options, access=access):
+                    db, _ = gates_db(n)
+                    result = run_query(db, query, **options)
+                    assert len(result) == expected(n, FAN_OUT, predicate)
+                    assert result.plan.access_path == access
+                    return lambda: run_query(db, query, **options)
 
-        @suite.case(f"eq_live_compiled[{n}]")
-        def eq_live_case(n=n):
-            db, _ = gates_db(n)
-            return lambda: run_query(db, EQ_QUERY, views=False)
+    # The write-side price: one transmitter update refreshes fan-out view
+    # rows, measured as a round of writes over every interface.
+    for fan_out in [FAN_OUT] if suite.quick else [FAN_OUT, 1]:
 
-        @suite.case(f"eq_tree_walk[{n}]")
-        def eq_walk_case(n=n):
-            db, _ = gates_db(n)
-            return lambda: run_query(db, EQ_QUERY, views=False, compiled=False)
+        @suite.case(f"write_round_with_view[10k/fan{fan_out}]")
+        def with_view_case(fan_out=fan_out):
+            db, interfaces = gates_db(10_000, fan_out)
+            run_query(db, EQ_QUERY)  # view built: maintenance is live
+            return lambda: write_round(interfaces)
 
-        @suite.case(f"range_view[{n}]")
-        def range_view_case(n=n):
-            db, _ = gates_db(n)
-            return lambda: run_query(db, RANGE_QUERY)
-
-        @suite.case(f"range_live_compiled[{n}]")
-        def range_live_case(n=n):
-            db, _ = gates_db(n)
-            return lambda: run_query(db, RANGE_QUERY, views=False)
-
-        @suite.case(f"range_tree_walk[{n}]")
-        def range_walk_case(n=n):
-            db, _ = gates_db(n)
-            return lambda: run_query(
-                db, RANGE_QUERY, views=False, compiled=False
-            )
-
-    @suite.case("write_round_with_view[10k/fan50]")
-    def maint_with_view_case():
-        db, interfaces = gates_db(10_000)
-        run_query(db, EQ_QUERY)
-
-        def round_():
-            for i, iface in enumerate(interfaces):
-                iface.set_attribute("Length", (i + 1) % 97)
-
-        return round_
-
-    @suite.case("write_round_without_view[10k/fan50]")
-    def maint_without_view_case():
-        db, interfaces = gates_db(10_000)
-        db.views.drop_views()
-        db.views.auto = False
-
-        def round_():
-            for i, iface in enumerate(interfaces):
-                iface.set_attribute("Length", (i + 1) % 97)
-
-        return round_
+        @suite.case(f"write_round_without_view[10k/fan{fan_out}]")
+        def without_view_case(fan_out=fan_out):
+            db, interfaces = gates_db(10_000, fan_out)
+            db.views.drop_views()
+            db.views.auto = False  # never rebuilt: the no-view write baseline
+            return lambda: write_round(interfaces)

@@ -13,21 +13,21 @@ threads:
   so engine updates must cost the same whether the ring is empty or full.
   ``update_recorder_idle`` vs ``update_recorder_full_ring`` measures the
   same propagation loop on an observed database with zero buffered
-  samples and with the ring at capacity; the pytest variant asserts the
+  samples and with the ring at capacity; an acceptance test asserts the
   full-ring path stays within noise of the idle one (min-of-k, generous
   3x bound), and ``update_dark`` is the observability-off floor;
 * **contended grant** — one full blocking-lock round: K reader threads
   park behind an exclusive holder (waits-for edges registered, blocked
   events audited), the holder releases, every waiter is granted and the
-  wait histogram absorbs K observations.  The pytest variant additionally
-  walks a health rule through ok → degraded → ok around the contention
-  burst.
+  wait histogram absorbs K observations.  An acceptance test walks a
+  health rule through ok → degraded → ok around the contention burst.
 """
 
 import threading
 import time
 
 from repro.engine import Database
+from repro.obs.bench import alternating_best
 from repro.obs.health import DEGRADED, OK, HealthMonitor, percentile_rule
 from repro.txn import LockMode, LockTable
 from repro.workloads import gate_database, make_implementation, make_interface
@@ -89,30 +89,16 @@ def run_contention_round(table, surrogate, waiters=WAITERS, hold=HOLD):
     return edges
 
 
-def _min_of(fn, rounds=7):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 class TestRecorderTax:
-    def test_tick_cost(self, benchmark):
-        """One tick = registry walk + percentile summaries + ring append."""
-        _db, _iface, recorder = _exercised_recorder()
-        benchmark(recorder.tick)
-        assert recorder.ticks > 0
-
     def test_full_ring_update_within_noise_of_idle(self):
         """The dark-path contract: a full ring must not tax updates.
 
         The recorder adds no hot-path code, so the same propagation batch
         on the same observed database must cost about the same with 0 and
-        with ``capacity`` buffered samples.  Min-of-7 with a generous 3x
-        bound: this guards against accidentally wiring the recorder into
-        the update path, not against scheduler noise.
+        with ``capacity`` buffered samples.  Min-of-7, the two sides
+        alternating, with a generous 3x bound: this guards against
+        accidentally wiring the recorder into the update path, not
+        against scheduler noise.
         """
         def batch(iface, counter):
             def run():
@@ -121,35 +107,15 @@ class TestRecorderTax:
             return run
 
         _db, iface, _recorder = _exercised_recorder(ticks=0)
-        idle = _min_of(batch(iface, iter(range(10**9))))
         db2, iface2, recorder2 = _exercised_recorder(ticks=0)
         for i in range(recorder2.capacity):
             recorder2.tick(now=float(i))
         assert len(recorder2) == recorder2.capacity
-        full = _min_of(batch(iface2, iter(range(10**9))))
+        idle, full = alternating_best(
+            [batch(iface, iter(range(10**9))), batch(iface2, iter(range(10**9)))],
+            rounds=7,
+        )
         assert full < idle * 3.0 + 1e-4
-
-    def test_update_dark_floor(self, benchmark):
-        """Observability off: the recorder cannot even be reached."""
-        db, iface = _workload_db(observe=False)
-        counter = iter(range(10**9))
-        benchmark(lambda: iface.set_attribute("Length", 10 + next(counter) % 50))
-        assert db.obs is None
-
-    def test_update_recorder_idle(self, benchmark):
-        """Observed update with the ring empty: the recorder's floor."""
-        _db, iface, _recorder = _exercised_recorder(ticks=0)
-        counter = iter(range(10**9))
-        benchmark(lambda: iface.set_attribute("Length", 10 + next(counter) % 50))
-
-    def test_update_recorder_full_ring(self, benchmark):
-        """Observed update with the ring at capacity: must match idle."""
-        _db, iface, recorder = _exercised_recorder(ticks=0)
-        for i in range(recorder.capacity):
-            recorder.tick(now=float(i))
-        assert len(recorder) == recorder.capacity
-        counter = iter(range(10**9))
-        benchmark(lambda: iface.set_attribute("Length", 10 + next(counter) % 50))
 
 
 class TestContentionObservatory:
@@ -168,19 +134,6 @@ class TestContentionObservatory:
         histogram = metrics.histogram("locks.wait_seconds")
         assert histogram.count == WAITERS
         assert histogram.percentile(95) >= HOLD * 0.5
-
-    def test_contended_grant(self, benchmark):
-        """One full blocking round: spawn, park, release, grant, join."""
-        db = Database("e21-grant", observe=True)
-        table = LockTable(obs=db.obs)
-        surrogates = db.surrogates
-
-        benchmark(
-            lambda: run_contention_round(
-                table, surrogates.fresh(), waiters=WAITERS, hold=0.002
-            )
-        )
-        assert db.obs.metrics.counter("locks.grants_after_wait").value > 0
 
     def test_health_walks_ok_degraded_ok(self):
         db = Database("e21-health", observe=True)
@@ -205,46 +158,58 @@ class TestContentionObservatory:
         assert monitor.evaluate().status == OK
 
 
+def updater(iface):
+    counter = iter(range(10**9))
+    return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
+
+
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
+    """The timed cases (see :mod:`repro.obs.bench`)."""
     waiters = 2 if suite.quick else WAITERS
 
     @suite.case("recorder_tick")
     def tick_case():
+        """One tick = registry walk + percentile summaries + ring append."""
         _db, _iface, recorder = _exercised_recorder()
+        recorder.tick()
+        assert recorder.ticks > 0
         return recorder.tick
 
     @suite.case("update_dark")
     def dark_case():
-        _db, iface = _workload_db(observe=False)
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
+        """Observability off: the recorder cannot even be reached."""
+        db, iface = _workload_db(observe=False)
+        assert db.obs is None
+        return updater(iface)
 
     @suite.case("update_recorder_idle")
     def idle_case():
+        """Observed update with the ring empty: the recorder's floor."""
         _db, iface, _recorder = _exercised_recorder(ticks=0)
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
+        return updater(iface)
 
     @suite.case("update_recorder_full_ring")
     def full_ring_case():
+        """Observed update with the ring at capacity: must match idle."""
         _db, iface, recorder = _exercised_recorder(ticks=0)
         for i in range(recorder.capacity):
             recorder.tick(now=float(i))
-        counter = iter(range(10**9))
-        return lambda: iface.set_attribute("Length", 10 + next(counter) % 50)
+        assert len(recorder) == recorder.capacity
+        return updater(iface)
 
     @suite.case(f"contended_grant[{waiters}]")
     def contention_case():
+        """One full blocking round: spawn, park, release, grant, join."""
         db = Database("e21-harness", observe=True)
         table = LockTable(obs=db.obs)
         surrogates = db.surrogates
 
         def timed():
-            # One full round: spawn, park, release, grant, join.  Thread
-            # lifecycle is part of the price of a contended grant.
+            # Thread lifecycle is part of the price of a contended grant.
             run_contention_round(
                 table, surrogates.fresh(), waiters=waiters, hold=0.002
             )
 
+        timed()
+        assert db.obs.metrics.counter("locks.grants_after_wait").value > 0
         return timed

@@ -21,16 +21,15 @@ This experiment prices both sides:
   sanitizer: parked waiters, waits-for edges, fork/join HB patching and
   all — the worst realistic case, and it must stay race-free.
 
-The pytest variant additionally asserts the dark guard really is dark
+The acceptance tests additionally assert the dark guard really is dark
 (enable→disable leaves the modules with ``TSAN is None`` and the same
 min-of-k cost within noise) and that the sanitized runs observed
 accesses without reporting races.
 """
 
-import time
-
 from repro.engine import Database
 from repro.obs import race
+from repro.obs.bench import alternating_best
 from repro.txn import LockMode, LockTable
 from repro.workloads import gate_database, make_implementation, make_interface
 
@@ -63,15 +62,6 @@ def _lock_roundtrip(table, surrogate):
     return run
 
 
-def _min_of(fn, rounds=7):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 class TestDarkPathParity:
     def test_guard_is_restored_after_enable_disable(self):
         from repro.core import resolution, slots
@@ -87,19 +77,26 @@ class TestDarkPathParity:
     def test_dark_cost_unchanged_by_past_enablement(self):
         """Enable→disable must leave the hot path at its original cost.
 
-        Min-of-7 with a generous 3x bound: this guards against the
-        sanitizer leaving patched code or live guards behind, not
-        against scheduler noise.
+        A database built before the sandbox and one built after it are
+        timed alternately, min-of-7, with a generous 3x bound: this
+        guards against the sanitizer leaving patched code or live guards
+        behind, not against scheduler noise.
         """
         if race.active() is not None:
             return  # REPRO_TSAN session: there is no dark path to price
         _db, iface = _workload_db("e22-before")
-        before = _min_of(_update_batch(iface, iter(range(10**9))))
         with race.sandbox():
             _db2, iface2 = _workload_db("e22-during")
             _update_batch(iface2, iter(range(10**9)))()
+        assert race.active() is None  # the guard went dark again
         _db3, iface3 = _workload_db("e22-after")
-        after = _min_of(_update_batch(iface3, iter(range(10**9))))
+        before, after = alternating_best(
+            [
+                _update_batch(iface, iter(range(10**9))),
+                _update_batch(iface3, iter(range(10**9))),
+            ],
+            rounds=7,
+        )
         assert after < before * 3.0 + 1e-4
 
     def test_sanitized_updates_observe_and_stay_clean(self):
@@ -128,7 +125,7 @@ class TestDarkPathParity:
 
 
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
+    """The timed cases (see :mod:`repro.obs.bench`)."""
     waiters = 2 if suite.quick else 4
 
     @suite.case("update_dark")

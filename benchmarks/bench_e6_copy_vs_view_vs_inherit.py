@@ -10,8 +10,6 @@ The paper's qualitative argument, measured on identical workloads:
   permeable subset (asserted, not timed).
 """
 
-import pytest
-
 from repro.composition import (
     add_component,
     copy_component,
@@ -20,9 +18,6 @@ from repro.composition import (
 )
 from repro.core import INTEGER, ObjectType
 from repro.workloads import gate_database, make_implementation, make_interface
-
-COMPONENT_PINS = [3, 30, 120]
-
 
 def db_with_view_holder():
     """A database with two baseline slot types.
@@ -47,66 +42,6 @@ def db_with_view_holder():
     return db
 
 
-class TestIncorporationCost:
-    @pytest.mark.parametrize("n_pins", COMPONENT_PINS)
-    def test_copy_composition(self, benchmark, n_pins):
-        db = db_with_view_holder()
-        component = make_interface(db, n_in=n_pins - 1, n_out=1)
-        holder = db.create_object("Holder")
-        benchmark(copy_component, holder, "CopyParts", component)
-
-    @pytest.mark.parametrize("n_pins", COMPONENT_PINS)
-    def test_view_composition(self, benchmark, n_pins):
-        db = db_with_view_holder()
-        component = make_interface(db, n_in=n_pins - 1, n_out=1)
-        holder = db.create_object("Holder")
-        benchmark(view_component, holder, "ViewParts", component)
-
-    @pytest.mark.parametrize("n_pins", COMPONENT_PINS)
-    def test_inheritance_composition(self, benchmark, n_pins):
-        db = gate_database("e6-bench")
-        component = make_interface(db, n_in=n_pins - 1, n_out=1)
-        composite = make_implementation(db, make_interface(db))
-        benchmark(
-            add_component, composite, "SubGates", component,
-            GateLocation={"X": 0, "Y": 0},
-        )
-
-
-class TestReadAfterUpdate:
-    def _component(self, db, n_pins=30):
-        return make_interface(db, n_in=n_pins - 1, n_out=1)
-
-    def test_copy_read_is_local_but_stale(self, benchmark):
-        db = db_with_view_holder()
-        component = self._component(db)
-        holder = db.create_object("Holder")
-        copy = copy_component(holder, "CopyParts", component)
-        component.set_attribute("Length", 999)
-        value = benchmark(copy.get_member, "Length")
-        assert value != 999  # stale!
-        assert stale_members(copy, component) == ["Length"]
-
-    def test_view_read_is_fresh(self, benchmark):
-        db = db_with_view_holder()
-        component = self._component(db)
-        holder = db.create_object("Holder")
-        view = view_component(holder, "ViewParts", component)
-        component.set_attribute("Length", 999)
-        value = benchmark(view.get_member, "Length")
-        assert value == 999
-
-    def test_inherit_read_is_fresh(self, benchmark):
-        db = gate_database("e6-bench")
-        component = self._component(db)
-        composite = make_implementation(db, make_interface(db))
-        slot = add_component(composite, "SubGates", component,
-                             GateLocation={"X": 0, "Y": 0})
-        component.set_attribute("Length", 999)
-        value = benchmark(slot.get_member, "Length")
-        assert value == 999
-
-
 class TestVisibility:
     def test_view_leaks_everything_inherit_is_selective(self):
         db = db_with_view_holder()
@@ -126,31 +61,31 @@ class TestVisibility:
 
 
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    n_pins = 3 if suite.quick else 30
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for pins in [3] if suite.quick else [3, 30, 120]:
 
-    @suite.case(f"copy_composition[{n_pins}]")
-    def copy_case():
-        db = db_with_view_holder()
-        component = make_interface(db, n_in=n_pins - 1, n_out=1)
-        holder = db.create_object("Holder")
-        return lambda: copy_component(holder, "CopyParts", component)
+        @suite.case(f"copy_composition[{pins}]")
+        def copy_case(pins=pins):
+            db = db_with_view_holder()
+            component = make_interface(db, n_in=pins - 1, n_out=1)
+            holder = db.create_object("Holder")
+            return lambda: copy_component(holder, "CopyParts", component)
 
-    @suite.case(f"view_composition[{n_pins}]")
-    def view_case():
-        db = db_with_view_holder()
-        component = make_interface(db, n_in=n_pins - 1, n_out=1)
-        holder = db.create_object("Holder")
-        return lambda: view_component(holder, "ViewParts", component)
+        @suite.case(f"view_composition[{pins}]")
+        def view_case(pins=pins):
+            db = db_with_view_holder()
+            component = make_interface(db, n_in=pins - 1, n_out=1)
+            holder = db.create_object("Holder")
+            return lambda: view_component(holder, "ViewParts", component)
 
-    @suite.case(f"inheritance_composition[{n_pins}]")
-    def inherit_case():
-        db = gate_database("e6-bench")
-        component = make_interface(db, n_in=n_pins - 1, n_out=1)
-        composite = make_implementation(db, make_interface(db))
-        return lambda: add_component(
-            composite, "SubGates", component, GateLocation={"X": 0, "Y": 0}
-        )
+        @suite.case(f"inheritance_composition[{pins}]")
+        def inherit_case(pins=pins):
+            db = gate_database("e6-bench")
+            component = make_interface(db, n_in=pins - 1, n_out=1)
+            composite = make_implementation(db, make_interface(db))
+            return lambda: add_component(
+                composite, "SubGates", component, GateLocation={"X": 0, "Y": 0}
+            )
 
     @suite.case("inherit_read_fresh")
     def read_case():
@@ -163,3 +98,25 @@ def register(suite):
         component.set_attribute("Length", 999)
         assert slot.get_member("Length") == 999
         return lambda: slot.get_member("Length")
+
+    if suite.quick:
+        return
+
+    @suite.case("copy_read_is_local_but_stale")
+    def copy_read_case():
+        db = db_with_view_holder()
+        component = make_interface(db, n_in=29, n_out=1)
+        copy = copy_component(db.create_object("Holder"), "CopyParts", component)
+        component.set_attribute("Length", 999)
+        assert copy.get_member("Length") != 999  # stale!
+        assert stale_members(copy, component) == ["Length"]
+        return lambda: copy.get_member("Length")
+
+    @suite.case("view_read_is_fresh")
+    def view_read_case():
+        db = db_with_view_holder()
+        component = make_interface(db, n_in=29, n_out=1)
+        view = view_component(db.create_object("Holder"), "ViewParts", component)
+        component.set_attribute("Length", 999)
+        assert view.get_member("Length") == 999
+        return lambda: view.get_member("Length")

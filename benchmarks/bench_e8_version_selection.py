@@ -6,8 +6,6 @@ the candidate-eligibility scan.  Re-resolution (unbind + select + bind) is
 the assembly-time price of staying on the newest version.
 """
 
-import pytest
-
 from repro.versions import (
     DefaultSelection,
     EnvironmentRegistry,
@@ -17,8 +15,6 @@ from repro.versions import (
     VersionGraph,
 )
 from repro.workloads import gate_database, make_interface
-
-VERSION_COUNTS = [10, 100, 400]
 
 
 def graph_with_versions(db, n):
@@ -36,110 +32,75 @@ def fresh_slot(db):
     return db.create_object("GateImplementation")
 
 
-class TestSelectionPolicies:
-    @pytest.mark.parametrize("n_versions", VERSION_COUNTS)
-    def test_query_selection(self, benchmark, n_versions):
-        db = gate_database("e8-bench")
-        _, graph, versions = graph_with_versions(db, n_versions)
-        rel = db.catalog.inheritance_type("AllOf_GateInterface")
-        policy = QuerySelection(f"Length = {n_versions}")
-
-        def setup():
-            return (GenericRelationship(fresh_slot(db), rel, graph),), {}
-
-        def resolve(generic):
-            link = generic.resolve(policy)
-            assert link.transmitter is versions[-1]
-
-        benchmark.pedantic(resolve, setup=setup, rounds=10)
-
-    @pytest.mark.parametrize("n_versions", VERSION_COUNTS)
-    def test_default_selection(self, benchmark, n_versions):
-        db = gate_database("e8-bench")
-        _, graph, versions = graph_with_versions(db, n_versions)
-        graph.set_default(versions[-1])
-        rel = db.catalog.inheritance_type("AllOf_GateInterface")
-        policy = DefaultSelection()
-
-        def setup():
-            return (GenericRelationship(fresh_slot(db), rel, graph),), {}
-
-        benchmark.pedantic(
-            lambda generic: generic.resolve(policy), setup=setup, rounds=10
-        )
-
-    @pytest.mark.parametrize("n_versions", VERSION_COUNTS)
-    def test_environment_selection(self, benchmark, n_versions):
-        db = gate_database("e8-bench")
-        anchor, graph, versions = graph_with_versions(db, n_versions)
-        registry = EnvironmentRegistry()
-        env = registry.create("bench")
-        env.assign(anchor, versions[n_versions // 2])
-        registry.activate("bench")
-        rel = db.catalog.inheritance_type("AllOf_GateInterface")
-        policy = EnvironmentSelection(registry)
-
-        def setup():
-            return (GenericRelationship(fresh_slot(db), rel, graph),), {}
-
-        benchmark.pedantic(
-            lambda generic: generic.resolve(policy), setup=setup, rounds=10
-        )
-
-
-class TestReResolution:
-    @pytest.mark.parametrize("n_versions", [10, 100])
-    def test_re_resolve(self, benchmark, n_versions):
-        db = gate_database("e8-bench")
-        _, graph, versions = graph_with_versions(db, n_versions)
-        graph.set_default(versions[-1])
-        rel = db.catalog.inheritance_type("AllOf_GateInterface")
-        generic = GenericRelationship(fresh_slot(db), rel, graph)
-        generic.resolve(DefaultSelection())
-        benchmark(generic.re_resolve, DefaultSelection())
-
-
-class TestGraphOperations:
-    @pytest.mark.parametrize("n_versions", VERSION_COUNTS)
-    def test_history_walk(self, benchmark, n_versions):
-        db = gate_database("e8-bench")
-        anchor = make_interface(db)
-        graph = VersionGraph(design_object=anchor)
-        base = None
-        last = None
-        for i in range(n_versions):
-            last = make_interface(db, length=i + 1)
-            graph.add_version(last, derived_from=base)
-            base = last
-        history = benchmark(graph.history_of, last)
-        assert len(history) == n_versions
-
-
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    n_versions = 10 if suite.quick else 100
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for n in [10] if suite.quick else [10, 100]:
 
-    @suite.case(f"re_resolve_default[{n_versions}]")
-    def re_resolve_case():
-        db = gate_database("e8-bench")
-        _, graph, versions = graph_with_versions(db, n_versions)
-        graph.set_default(versions[-1])
-        rel = db.catalog.inheritance_type("AllOf_GateInterface")
-        generic = GenericRelationship(fresh_slot(db), rel, graph)
-        generic.resolve(DefaultSelection())
-        policy = DefaultSelection()
-        return lambda: generic.re_resolve(policy)
+        @suite.case(f"re_resolve_default[{n}]")
+        def re_resolve_case(n=n):
+            db = gate_database("e8-bench")
+            _, graph, versions = graph_with_versions(db, n)
+            graph.set_default(versions[-1])
+            rel = db.catalog.inheritance_type("AllOf_GateInterface")
+            generic = GenericRelationship(fresh_slot(db), rel, graph)
+            generic.resolve(DefaultSelection())
+            policy = DefaultSelection()
+            return lambda: generic.re_resolve(policy)
 
-    @suite.case(f"history_walk[{n_versions}]")
-    def history_case():
-        db = gate_database("e8-bench")
-        anchor = make_interface(db)
-        graph = VersionGraph(design_object=anchor)
-        base = None
-        last = None
-        for i in range(n_versions):
-            last = make_interface(db, length=i + 1)
-            graph.add_version(last, derived_from=base)
-            base = last
-        assert len(graph.history_of(last)) == n_versions
-        return lambda: graph.history_of(last)
+    for n in [10] if suite.quick else [10, 100, 400]:
+
+        @suite.case(f"history_walk[{n}]")
+        def history_case(n=n):
+            db = gate_database("e8-bench")
+            graph = VersionGraph(design_object=make_interface(db))
+            base = None
+            for i in range(n):
+                last = make_interface(db, length=i + 1)
+                graph.add_version(last, derived_from=base)
+                base = last
+            assert len(graph.history_of(last)) == n
+            return lambda: graph.history_of(last)
+
+    if suite.quick:
+        return
+
+    for n in [10, 100, 400]:
+
+        @suite.case(f"query_selection[{n}]", setup=True)
+        def query_case(n=n):
+            db = gate_database("e8-bench")
+            _, graph, versions = graph_with_versions(db, n)
+            rel = db.catalog.inheritance_type("AllOf_GateInterface")
+            policy = QuerySelection(f"Length = {n}")
+
+            def resolve(generic):
+                link = generic.resolve(policy)
+                assert link.transmitter is versions[-1]
+
+            return (lambda: GenericRelationship(fresh_slot(db), rel, graph)), resolve
+
+        @suite.case(f"default_selection[{n}]", setup=True)
+        def default_case(n=n):
+            db = gate_database("e8-bench")
+            _, graph, versions = graph_with_versions(db, n)
+            graph.set_default(versions[-1])
+            rel = db.catalog.inheritance_type("AllOf_GateInterface")
+            policy = DefaultSelection()
+            return (
+                (lambda: GenericRelationship(fresh_slot(db), rel, graph)),
+                (lambda generic: generic.resolve(policy)),
+            )
+
+        @suite.case(f"environment_selection[{n}]", setup=True)
+        def environment_case(n=n):
+            db = gate_database("e8-bench")
+            anchor, graph, versions = graph_with_versions(db, n)
+            registry = EnvironmentRegistry()
+            registry.create("bench").assign(anchor, versions[n // 2])
+            registry.activate("bench")
+            rel = db.catalog.inheritance_type("AllOf_GateInterface")
+            policy = EnvironmentSelection(registry)
+            return (
+                (lambda: GenericRelationship(fresh_slot(db), rel, graph)),
+                (lambda generic: generic.resolve(policy)),
+            )

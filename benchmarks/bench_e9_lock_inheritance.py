@@ -31,59 +31,6 @@ def composite_db():
     return db, tm, impl, own_if, component_if, slot
 
 
-class TestLockedReadCost:
-    def test_read_plain_object(self, benchmark):
-        db, tm, impl, own_if, component_if, slot = composite_db()
-        plain = db.create_object("PinType", InOut="IN")
-
-        def run():
-            txn = tm.begin()
-            txn.read(plain)
-            txn.commit()
-
-        benchmark(run)
-
-    def test_read_with_lock_inheritance(self, benchmark):
-        db, tm, impl, own_if, component_if, slot = composite_db()
-
-        def run():
-            txn = tm.begin()
-            txn.read(slot)  # + scoped S lock on the component interface
-            txn.commit()
-
-        benchmark(run)
-
-    @pytest.mark.parametrize("depth", [1, 4, 8])
-    def test_plan_depth(self, benchmark, depth):
-        db = gate_database("e9-bench")
-        current = make_interface(db)
-        rel = db.catalog.inheritance_type("AllOf_GateInterface_I")
-        top = db.create_object("GateInterface_I")
-        top.subclass("Pins").create(InOut="IN")
-        chain = db.create_object("GateInterface", transmitter=top, Length=1, Width=1)
-        impl = db.create_object("GateImplementation", transmitter=chain)
-        # Depth here is fixed by the schema (2 hops); measure the plan walk.
-        plan = benchmark(inherited_lock_plan, impl)
-        assert len(plan) >= 2
-
-
-class TestExpansionLocking:
-    @pytest.mark.parametrize("depth", [1, 3, 5])
-    def test_lock_expansion(self, benchmark, depth):
-        db = gate_database("e9-bench")
-        tm = TransactionManager(db)
-        top, _ = generate_component_tree(db, depth=depth, fanout=2)
-
-        def run():
-            txn = tm.begin()
-            count = txn.lock_expansion(top)
-            txn.commit()
-            return count
-
-        locked = benchmark(run)
-        assert locked > 2 ** depth
-
-
 class TestConflictDetection:
     def test_lock_inheritance_catches_cross_object_conflicts(self):
         """Not a timing: the §6 correctness claim.  The composite reader
@@ -99,27 +46,9 @@ class TestConflictDetection:
         writer.write(component_if, {"Length"})
         writer.commit()
 
-    def test_conflict_throughput(self, benchmark):
-        """Rate of conflict checks: a writer probing a read-locked
-        component (exception path included)."""
-        db, tm, impl, own_if, component_if, slot = composite_db()
-        reader = tm.begin()
-        reader.read(slot)
-
-        def probe():
-            writer = tm.begin()
-            try:
-                writer.write(component_if, {"Length"})
-            except LockConflictError:
-                pass
-            writer.abort()
-
-        benchmark(probe)
-
 
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    depth = 2 if suite.quick else 3
+    """The timed cases (see :mod:`repro.obs.bench`)."""
 
     @suite.case("locked_read_plain")
     def plain_case():
@@ -139,20 +68,57 @@ def register(suite):
 
         def run():
             txn = tm.begin()
-            txn.read(slot)
+            txn.read(slot)  # + scoped S lock on the component interface
             txn.commit()
 
         return run
 
-    @suite.case(f"lock_expansion[{depth}]")
-    def expansion_case():
+    for depth in [2] if suite.quick else [1, 3, 5]:
+
+        @suite.case(f"lock_expansion[{depth}]")
+        def expansion_case(depth=depth):
+            db = gate_database("e9-bench")
+            tm = TransactionManager(db)
+            top, _ = generate_component_tree(db, depth=depth, fanout=2)
+
+            def run():
+                txn = tm.begin()
+                count = txn.lock_expansion(top)
+                txn.commit()
+                return count
+
+            assert run() > 2 ** depth
+            return run
+
+    if suite.quick:
+        return
+
+    @suite.case("inherited_lock_plan")
+    def plan_case():
+        """The lock plan of an implementation two hops below the top."""
         db = gate_database("e9-bench")
-        tm = TransactionManager(db)
-        top, _ = generate_component_tree(db, depth=depth, fanout=2)
+        make_interface(db)
+        top = db.create_object("GateInterface_I")
+        top.subclass("Pins").create(InOut="IN")
+        chain = db.create_object("GateInterface", transmitter=top, Length=1, Width=1)
+        impl = db.create_object("GateImplementation", transmitter=chain)
+        assert len(inherited_lock_plan(impl)) >= 2
+        return lambda: inherited_lock_plan(impl)
 
-        def run():
-            txn = tm.begin()
-            txn.lock_expansion(top)
-            txn.commit()
+    @suite.case("conflict_throughput")
+    def conflict_case():
+        """Rate of conflict checks: a writer probing a read-locked
+        component (exception path included)."""
+        db, tm, impl, own_if, component_if, slot = composite_db()
+        reader = tm.begin()
+        reader.read(slot)
 
-        return run
+        def probe():
+            writer = tm.begin()
+            try:
+                writer.write(component_if, {"Length"})
+            except LockConflictError:
+                pass
+            writer.abort()
+
+        return probe

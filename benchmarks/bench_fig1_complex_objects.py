@@ -6,8 +6,6 @@ checking and cascade deletion.  Expected shape: all four operations grow
 linearly in the number of subobjects.
 """
 
-import pytest
-
 from repro.engine.query import walk_tree
 from repro.workloads import gate_database, make_flipflop
 
@@ -29,63 +27,41 @@ def build_gate(db, n_subgates):
     return gate
 
 
-class TestFig1Construction:
-    def test_build_flipflop(self, benchmark):
-        db = gate_database("fig1-bench")
-        benchmark(make_flipflop, db)
-
-    @pytest.mark.parametrize("n_subgates", [10, 50, 200])
-    def test_build_gate_chain(self, benchmark, n_subgates):
-        db = gate_database("fig1-bench")
-        benchmark(build_gate, db, n_subgates)
-
-
-class TestFig1Navigation:
-    @pytest.mark.parametrize("n_subgates", [10, 50, 200])
-    def test_walk_tree(self, benchmark, n_subgates):
-        db = gate_database("fig1-bench")
-        gate = build_gate(db, n_subgates)
-        result = benchmark(lambda: sum(1 for _ in walk_tree(gate)))
-        assert result == 2 + 4 * n_subgates
-
-    @pytest.mark.parametrize("n_subgates", [10, 50, 200])
-    def test_deep_constraint_check(self, benchmark, n_subgates):
-        db = gate_database("fig1-bench")
-        gate = build_gate(db, n_subgates)
-        benchmark(gate.check_constraints, True)
-
-
-class TestFig1Deletion:
-    @pytest.mark.parametrize("n_subgates", [10, 100])
-    def test_cascade_delete(self, benchmark, n_subgates):
-        db = gate_database("fig1-bench")
-
-        def setup():
-            return (build_gate(db, n_subgates),), {}
-
-        def run(gate):
-            gate.delete()
-
-        benchmark.pedantic(run, setup=setup, rounds=10)
-
-
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    n_subgates = 10 if suite.quick else 50
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for n in [10] if suite.quick else [10, 50, 200]:
 
-    @suite.case(f"build_gate_chain[{n_subgates}]")
-    def build_case():
-        db = gate_database("fig1-bench")
-        return lambda: build_gate(db, n_subgates)
+        @suite.case(f"build_gate_chain[{n}]")
+        def build_case(n=n):
+            db = gate_database("fig1-bench")
+            return lambda: build_gate(db, n)
 
-    @suite.case(f"walk_tree[{n_subgates}]")
-    def walk_case():
-        db = gate_database("fig1-bench")
-        gate = build_gate(db, n_subgates)
-        return lambda: sum(1 for _ in walk_tree(gate))
+        @suite.case(f"walk_tree[{n}]")
+        def walk_case(n=n):
+            gate = build_gate(gate_database("fig1-bench"), n)
 
-    @suite.case(f"deep_constraint_check[{n_subgates}]")
-    def check_case():
+            def walk():
+                return sum(1 for _ in walk_tree(gate))
+
+            assert walk() == 2 + 4 * n
+            return walk
+
+        @suite.case(f"deep_constraint_check[{n}]")
+        def check_case(n=n):
+            gate = build_gate(gate_database("fig1-bench"), n)
+            return lambda: gate.check_constraints(True)
+
+    if suite.quick:
+        return
+
+    @suite.case("build_flipflop")
+    def flipflop_case():
         db = gate_database("fig1-bench")
-        gate = build_gate(db, n_subgates)
-        return lambda: gate.check_constraints(True)
+        return lambda: make_flipflop(db)
+
+    for n in [10, 100]:
+
+        @suite.case(f"cascade_delete[{n}]", setup=True)
+        def delete_case(n=n):
+            db = gate_database("fig1-bench")
+            return (lambda: build_gate(db, n)), (lambda gate: gate.delete())

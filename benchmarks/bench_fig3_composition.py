@@ -5,8 +5,6 @@ relationship pays O(1) per component regardless of component size, and the
 same relationship type serves interface and component roles.
 """
 
-import pytest
-
 from repro.composition import add_component, components_of
 from repro.workloads import (
     gate_database,
@@ -14,111 +12,65 @@ from repro.workloads import (
     make_interface,
 )
 
-COMPONENT_COUNTS = [5, 25, 100]
-
 
 def fresh_composite(db):
     return make_implementation(db, make_interface(db, length=200, width=100))
 
 
-class TestIncorporation:
-    @pytest.mark.parametrize("n_components", COMPONENT_COUNTS)
-    def test_add_components(self, benchmark, n_components):
-        db = gate_database("fig3-bench")
-        component_if = make_interface(db)
-
-        def setup():
-            return (fresh_composite(db),), {}
-
-        def incorporate(composite):
-            for i in range(n_components):
-                add_component(
-                    composite, "SubGates", component_if,
-                    GateLocation={"X": i, "Y": 0},
-                )
-
-        benchmark.pedantic(incorporate, setup=setup, rounds=5)
-
-    @pytest.mark.parametrize("component_pins", [3, 30, 120])
-    def test_add_component_size_independent(self, benchmark, component_pins):
-        """Incorporation cost must not grow with component size (the data
-        is linked, not moved)."""
-        db = gate_database("fig3-bench")
-        component_if = make_interface(
-            db, n_in=component_pins - 1, n_out=1
+def composite_with(db, n_components):
+    composite = fresh_composite(db)
+    component_if = make_interface(db)
+    for i in range(n_components):
+        add_component(
+            composite, "SubGates", component_if, GateLocation={"X": i, "Y": 0}
         )
-
-        def setup():
-            return (fresh_composite(db),), {}
-
-        def incorporate(composite):
-            add_component(composite, "SubGates", component_if,
-                          GateLocation={"X": 0, "Y": 0})
-
-        benchmark.pedantic(incorporate, setup=setup, rounds=20)
-
-
-class TestCompositeInspection:
-    @pytest.mark.parametrize("n_components", COMPONENT_COUNTS)
-    def test_components_of(self, benchmark, n_components):
-        db = gate_database("fig3-bench")
-        composite = fresh_composite(db)
-        component_if = make_interface(db)
-        for i in range(n_components):
-            add_component(composite, "SubGates", component_if,
-                          GateLocation={"X": i, "Y": 0})
-        result = benchmark(components_of, composite)
-        assert len(result) == n_components
-
-    @pytest.mark.parametrize("n_components", COMPONENT_COUNTS)
-    def test_read_all_component_data(self, benchmark, n_components):
-        """Touch every slot's inherited Length (the composite's view)."""
-        db = gate_database("fig3-bench")
-        composite = fresh_composite(db)
-        component_if = make_interface(db)
-        for i in range(n_components):
-            add_component(composite, "SubGates", component_if,
-                          GateLocation={"X": i, "Y": 0})
-
-        def read_all():
-            return sum(slot["Length"] for slot in composite["SubGates"])
-
-        benchmark(read_all)
+    return composite
 
 
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    n_components = 5 if suite.quick else 25
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for pins in [30] if suite.quick else [3, 30, 120]:
 
-    @suite.case("add_component[30pins]")
-    def add_case():
-        db = gate_database("fig3-bench")
-        component_if = make_interface(db, n_in=29, n_out=1)
-        composite = fresh_composite(db)
-        return lambda: add_component(
-            composite, "SubGates", component_if, GateLocation={"X": 0, "Y": 0}
-        )
-
-    @suite.case(f"components_of[{n_components}]")
-    def inspect_case():
-        db = gate_database("fig3-bench")
-        composite = fresh_composite(db)
-        component_if = make_interface(db)
-        for i in range(n_components):
-            add_component(
-                composite, "SubGates", component_if,
-                GateLocation={"X": i, "Y": 0},
+        @suite.case(f"add_component[{pins}pins]")
+        def add_case(pins=pins):
+            """Incorporation cost must not grow with component size (the
+            data is linked, not moved)."""
+            db = gate_database("fig3-bench")
+            component_if = make_interface(db, n_in=pins - 1, n_out=1)
+            composite = fresh_composite(db)
+            return lambda: add_component(
+                composite, "SubGates", component_if, GateLocation={"X": 0, "Y": 0}
             )
-        return lambda: components_of(composite)
 
-    @suite.case(f"read_all_component_data[{n_components}]")
-    def read_case():
-        db = gate_database("fig3-bench")
-        composite = fresh_composite(db)
-        component_if = make_interface(db)
-        for i in range(n_components):
-            add_component(
-                composite, "SubGates", component_if,
-                GateLocation={"X": i, "Y": 0},
-            )
-        return lambda: sum(slot["Length"] for slot in composite["SubGates"])
+    for n in [5] if suite.quick else [5, 25, 100]:
+
+        @suite.case(f"components_of[{n}]")
+        def inspect_case(n=n):
+            composite = composite_with(gate_database("fig3-bench"), n)
+            assert len(components_of(composite)) == n
+            return lambda: components_of(composite)
+
+        @suite.case(f"read_all_component_data[{n}]")
+        def read_case(n=n):
+            """Touch every slot's inherited Length (the composite's view)."""
+            composite = composite_with(gate_database("fig3-bench"), n)
+            return lambda: sum(slot["Length"] for slot in composite["SubGates"])
+
+    if suite.quick:
+        return
+
+    for n in [5, 25, 100]:
+
+        @suite.case(f"add_components[{n}]", setup=True)
+        def add_many_case(n=n):
+            db = gate_database("fig3-bench")
+            component_if = make_interface(db)
+
+            def incorporate(composite):
+                for i in range(n):
+                    add_component(
+                        composite, "SubGates", component_if,
+                        GateLocation={"X": i, "Y": 0},
+                    )
+
+            return (lambda: fresh_composite(db)), incorporate

@@ -6,56 +6,43 @@ exponential in depth for a fixed fanout tree — and depth-limited expansion
 cuts it correspondingly.
 """
 
-import pytest
-
 from repro.composition import configuration, expand, provides_all_components
 from repro.workloads import gate_database, generate_component_tree
 
-DEPTHS = [1, 3, 5]
 
-
-class TestExpansion:
-    @pytest.mark.parametrize("depth", DEPTHS)
-    def test_expand_full(self, benchmark, depth):
-        db = gate_database("fig4-bench")
-        top, created = generate_component_tree(db, depth=depth, fanout=2)
-        expansion = benchmark(expand, top)
-        assert len(expansion.objects) > created
-
-    def test_expand_depth_limited(self, benchmark):
-        db = gate_database("fig4-bench")
-        top, _ = generate_component_tree(db, depth=5, fanout=2)
-        shallow = benchmark(expand, top, 1)
-        assert len(shallow.objects) < len(expand(top).objects)
-
-
-class TestConfigurationTraversal:
-    @pytest.mark.parametrize("depth", DEPTHS)
-    def test_configuration_tree(self, benchmark, depth):
-        db = gate_database("fig4-bench")
-        top, created = generate_component_tree(db, depth=depth, fanout=2)
-        tree = benchmark(configuration, top)
-        assert tree.size() == created
-
-    @pytest.mark.parametrize("depth", [1, 3])
-    def test_provides_all_components(self, benchmark, depth):
-        db = gate_database("fig4-bench")
-        top, _ = generate_component_tree(db, depth=depth, fanout=2)
-        assert benchmark(provides_all_components, top)
+def tree(depth):
+    return generate_component_tree(gate_database("fig4-bench"), depth=depth, fanout=2)
 
 
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    depth = 2 if suite.quick else 3
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for depth in [2] if suite.quick else [1, 3, 5]:
 
-    @suite.case(f"expand_full[{depth}]")
-    def expand_case():
-        db = gate_database("fig4-bench")
-        top, _ = generate_component_tree(db, depth=depth, fanout=2)
-        return lambda: expand(top)
+        @suite.case(f"expand_full[{depth}]")
+        def expand_case(depth=depth):
+            top, created = tree(depth)
+            assert len(expand(top).objects) > created
+            return lambda: expand(top)
 
-    @suite.case(f"configuration_tree[{depth}]")
-    def config_case():
-        db = gate_database("fig4-bench")
-        top, _ = generate_component_tree(db, depth=depth, fanout=2)
-        return lambda: configuration(top)
+        @suite.case(f"configuration_tree[{depth}]")
+        def config_case(depth=depth):
+            top, created = tree(depth)
+            assert configuration(top).size() == created
+            return lambda: configuration(top)
+
+    if suite.quick:
+        return
+
+    @suite.case("expand_depth_limited")
+    def limited_case():
+        top, _ = tree(5)
+        assert len(expand(top, 1).objects) < len(expand(top).objects)
+        return lambda: expand(top, 1)
+
+    for depth in [1, 3]:
+
+        @suite.case(f"provides_all_components[{depth}]")
+        def provides_case(depth=depth):
+            top, _ = tree(depth)
+            assert provides_all_components(top)
+            return lambda: provides_all_components(top)

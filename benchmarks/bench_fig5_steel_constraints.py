@@ -7,78 +7,60 @@ grows linearly with the number of screwings; the where restriction is paid
 once per screwing creation.
 """
 
-import pytest
-
 from repro.workloads import generate_structure, steel_database
-
-SCREWING_COUNTS = [4, 16, 64]
-
-
-class TestSteelConstruction:
-    @pytest.mark.parametrize("n_screwings", SCREWING_COUNTS)
-    def test_generate_structure(self, benchmark, n_screwings):
-        def build():
-            db = steel_database("fig5-bench")
-            return generate_structure(
-                db, n_girders=4, n_plates=4, n_screwings=n_screwings
-            )
-
-        structure, screwings = benchmark(build)
-        assert len(screwings) == n_screwings
-
-
-class TestSteelConstraintChecking:
-    @pytest.mark.parametrize("n_screwings", SCREWING_COUNTS)
-    def test_deep_structure_check(self, benchmark, n_screwings):
-        db = steel_database("fig5-bench")
-        structure, _ = generate_structure(
-            db, n_girders=4, n_plates=4, n_screwings=n_screwings
-        )
-        benchmark(structure.check_constraints, True)
-
-    def test_single_screwing_check(self, benchmark):
-        """One full ScrewingType evaluation: two counts, the nested
-        quantifier, the aggregate sum."""
-        db = steel_database("fig5-bench")
-        _, screwings = generate_structure(db, 1, 1, 1)
-        benchmark(screwings[0].check_constraints)
-
-    @pytest.mark.parametrize("n_bores", [2, 8, 32])
-    def test_where_restriction_cost(self, benchmark, n_bores):
-        """The structure-level `for x in Bores: …` restriction vs. the
-        number of bores a screwing joins."""
-        db = steel_database("fig5-bench")
-        structure, _ = generate_structure(db, 1, 1, 1)
-        girder_if = structure.subclass("Girders").members()[0] \
-            .inheritance_links[0].transmitter
-        bores = [
-            girder_if.subclass("Bores").create(Diameter=12, Length=5)
-            for _ in range(n_bores)
-        ]
-
-        def create_and_discard():
-            screwing = structure.subrel("Screwings").create(
-                {"Bores": bores}, Strength=1
-            )
-            screwing.delete()
-
-        benchmark(create_and_discard)
 
 
 def register(suite):
-    """repro-bench adapter (see :mod:`repro.obs.bench`)."""
-    n_screwings = 4 if suite.quick else 16
+    """The timed cases (see :mod:`repro.obs.bench`)."""
+    for n in [4] if suite.quick else [4, 16, 64]:
 
-    @suite.case(f"deep_structure_check[{n_screwings}]")
-    def deep_case():
-        db = steel_database("fig5-bench")
-        structure, _ = generate_structure(
-            db, n_girders=4, n_plates=4, n_screwings=n_screwings
-        )
-        return lambda: structure.check_constraints(True)
+        @suite.case(f"deep_structure_check[{n}]")
+        def deep_case(n=n):
+            structure, _ = generate_structure(
+                steel_database("fig5-bench"), n_girders=4, n_plates=4, n_screwings=n
+            )
+            return lambda: structure.check_constraints(True)
 
     @suite.case("single_screwing_check")
     def single_case():
-        db = steel_database("fig5-bench")
-        _, screwings = generate_structure(db, 1, 1, 1)
+        """One full ScrewingType evaluation: two counts, the nested
+        quantifier, the aggregate sum."""
+        _, screwings = generate_structure(steel_database("fig5-bench"), 1, 1, 1)
         return lambda: screwings[0].check_constraints()
+
+    if suite.quick:
+        return
+
+    for n in [4, 16, 64]:
+
+        @suite.case(f"generate_structure[{n}]")
+        def generate_case(n=n):
+            def build():
+                return generate_structure(
+                    steel_database("fig5-bench"), n_girders=4, n_plates=4,
+                    n_screwings=n,
+                )
+
+            assert len(build()[1]) == n
+            return build
+
+    for n_bores in [2, 8, 32]:
+
+        @suite.case(f"where_restriction_cost[{n_bores}]")
+        def where_case(n_bores=n_bores):
+            """The structure-level `for x in Bores: …` restriction vs. the
+            number of bores a screwing joins."""
+            structure, _ = generate_structure(steel_database("fig5-bench"), 1, 1, 1)
+            girder_if = structure.subclass("Girders").members()[0] \
+                .inheritance_links[0].transmitter
+            bores = [
+                girder_if.subclass("Bores").create(Diameter=12, Length=5)
+                for _ in range(n_bores)
+            ]
+
+            def create_and_discard():
+                structure.subrel("Screwings").create(
+                    {"Bores": bores}, Strength=1
+                ).delete()
+
+            return create_and_discard

@@ -1,44 +1,33 @@
-"""Shared benchmark fixtures and scale parameters.
+"""Smoke tests for the benchmark modules.
 
-Every benchmark regenerates one experiment of DESIGN.md's index (E1–E9).
-Scales are kept laptop-friendly; the *shapes* (who wins, how costs grow)
-are what EXPERIMENTS.md records, not absolute numbers.
-
-Benches that opt into observability (see ``obs_hook``) have their metric
-snapshots merged and written to ``--obs-json=PATH`` at session end, so a
-benchmark run can emit propagation/lock/cache summaries alongside timings.
+Every ``bench_*.py`` module defines its timed cases once, in
+``register(suite)``; ``python -m repro bench`` times them.  Under pytest
+each case that ``register`` adds in quick mode becomes one test named
+after the case: it builds the case, so the factory checks its answer,
+and calls what is timed once, untimed.  The modules' own ``test_*``
+acceptance tests are collected as usual.
 """
-
-import json
 
 import pytest
 
-from repro.workloads import gate_database, steel_database
-
-from benchmarks import obs_hook
+from repro.obs.bench import BenchSuite
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--obs-json",
-        default=None,
-        help="write merged observability snapshots from observed benches "
-        "to this path (see benchmarks/obs_hook.py)",
-    )
+def _smoke_test(case):
+    def test():
+        case.build()
+
+    return test
 
 
-def pytest_sessionfinish(session, exitstatus):
-    path = session.config.getoption("--obs-json", default=None)
-    if path and obs_hook.collected:
-        with open(path, "w") as f:
-            json.dump(obs_hook.merged(), f, indent=1)
-
-
-@pytest.fixture
-def db():
-    return gate_database("bench")
-
-
-@pytest.fixture
-def steel_db():
-    return steel_database("bench-steel")
+def pytest_pycollect_makeitem(collector, name, obj):
+    if name != "register" or not isinstance(collector, pytest.Module):
+        return None
+    suite = BenchSuite(collector.path.stem, quick=True)
+    obj(suite)
+    return [
+        pytest.Function.from_parent(
+            collector, name=case.name, callobj=_smoke_test(case)
+        )
+        for case in suite.cases
+    ]

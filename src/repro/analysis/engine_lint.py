@@ -82,14 +82,6 @@ def _allowed_codes(source_lines: Sequence[str]) -> Dict[int, Set[str]]:
     return allowed
 
 
-def _attr_chain_root(node: ast.expr) -> Optional[str]:
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 class _FileLinter(ast.NodeVisitor):
     """One source file's REP601/602/603/604 findings."""
 

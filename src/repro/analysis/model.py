@@ -258,15 +258,6 @@ class SchemaModel:
                     stack.append(transmitter)
         return False
 
-    def member_rels(self, info: TypeInfo) -> Dict[str, List[TypeInfo]]:
-        """Member name → the inheritance rels it is permeable through, in
-        ``inheritor-in`` declaration order (the diamond map)."""
-        rels_for: Dict[str, List[TypeInfo]] = {}
-        for rel in self.inheritance_rels_of(info):
-            for name in rel.inheriting:
-                rels_for.setdefault(name, []).append(rel)
-        return rels_for
-
 
 # ---------------------------------------------------------------------------
 # lowering: DDL AST → model

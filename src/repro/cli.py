@@ -547,7 +547,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     mode = "quick" if args.quick else "full"
     runner = bench_harness.Runner(repeats=args.repeats, quick=args.quick)
-    results = runner.run(suites, progress=progress)
+    try:
+        results = runner.run(suites, progress=progress)
+    except bench_harness.CaseError as exc:
+        print(f"error: case check failed, nothing recorded: {exc}", file=sys.stderr)
+        return 1
 
     exit_code = 0
     if args.compare is not None:
@@ -581,16 +585,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 prior, current, threshold=threshold
             )
             if not comparison.ok and args.confirm:
-                # Repeat-to-confirm: re-measure only the suspects before
-                # failing, so scheduler noise does not trip the gate.
-                results = bench_harness.confirm_regressions(
-                    comparison, suites, runner, results,
-                    rounds=args.confirm, progress=progress,
-                )
+                # Repeat-to-confirm: re-measure only the suspects, in fresh
+                # processes, before failing, so neither scheduler noise nor
+                # a slow mode of this process trips the gate.
+                try:
+                    results = bench_harness.confirm_regressions(
+                        comparison, suites, runner, results,
+                        rounds=args.confirm, progress=progress,
+                    )
+                except bench_harness.CaseError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 1
                 current = bench_harness.make_snapshot(results, seq=0, mode=mode)
                 comparison = bench_harness.compare_snapshots(
                     prior, current, threshold=threshold
                 )
+            for label, snap in ((f"baseline {prior_path}", prior), ("this run", current)):
+                warning = bench_harness.dirty_warning(label, snap)
+                if warning is not None:
+                    print(warning, file=sys.stderr)
             prior_commit = prior.get("fingerprint", {}).get("commit")
             print(f"prior: {prior_path} (commit {prior_commit or 'unknown'})")
             print(comparison.render())
@@ -960,10 +973,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--confirm",
         type=int,
-        default=2,
+        default=3,
         metavar="N",
-        help="re-run suspected regressions up to N more times before "
-        "failing (0 disables; default: 2)",
+        help="re-measure suspected regressions in up to N fresh processes "
+        "before failing (0 disables; default: 3)",
     )
     p_bench.add_argument(
         "--warn-only",

@@ -1,48 +1,32 @@
-"""Interning pools for attribute names and surrogates.
+"""The interning pool for attribute names.
 
 Hot lookup paths probe dictionaries keyed by attribute-name strings
-(resolution-plan entries, slot-index maps, member memos) and by
-:class:`~repro.core.surrogate.Surrogate` tokens (object registries, lock
-tables, value indexes).  CPython's dict probe short-circuits on *identity*
-before falling back to ``__eq__`` — so handing every subsystem the one
-canonical instance of each name and surrogate turns the common hit into a
-pointer compare.
+(resolution-plan entries, slot-index maps, member memos).  CPython's dict
+probe short-circuits on *identity* before falling back to ``__eq__`` — so
+handing every subsystem the one canonical instance of each name turns the
+common hit into a pointer compare.
 
-The pools are process-global (types and surrogate spaces exist outside any
-single database) and exposed per-catalog through
-:attr:`repro.engine.catalog.Catalog.interning`, so engine code interns
-"at creation time" through the catalog it is already holding:
+The pool is process-global (types exist outside any single database) and
+exposed per-catalog through :attr:`repro.engine.catalog.Catalog.interning`,
+so engine code interns "at creation time" through the catalog it is
+already holding.  :func:`intern_name` is built on :func:`sys.intern`, so
+the pool cooperates with CPython's own identifier interning (parsed query
+identifiers and schema declarations meet in the same instance).
 
-* :func:`intern_name` — canonical attribute/member name strings, built on
-  :func:`sys.intern` so the pool cooperates with CPython's own identifier
-  interning (parsed query identifiers and schema declarations meet in the
-  same instance).
-* :func:`intern_surrogate` — canonical :class:`Surrogate` instances, held
-  weakly so pooling never extends object lifetime.  Fresh surrogates are
-  registered by :meth:`SurrogateGenerator.fresh`; reconstruction sites
-  (persistence load, CLI selectors) resolve to the already-live token.
+Surrogates are not pooled: every one is built fresh by its generator or
+by persistence, and equality compares ``(value, space)``.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Dict, Tuple
-from weakref import WeakValueDictionary
+from typing import Dict
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .surrogate import Surrogate
-
-__all__ = ["InternPool", "intern_name", "intern_surrogate", "interning_stats"]
+__all__ = ["InternPool", "intern_name", "interning_stats"]
 
 #: Canonical attribute-name strings.  Values come from ``sys.intern`` so a
 #: pooled name is *the* interpreter-wide instance of its spelling.
 _NAMES: Dict[str, str] = {}
-
-#: Canonical live surrogates, keyed by ``(space, value)``.  Weak values:
-#: the pool tracks, it never retains.
-_SURROGATES: "WeakValueDictionary[Tuple[str, int], Surrogate]" = (
-    WeakValueDictionary()
-)
 
 
 def intern_name(name: str) -> str:
@@ -53,31 +37,13 @@ def intern_name(name: str) -> str:
     return pooled
 
 
-def intern_surrogate(surrogate: "Surrogate") -> "Surrogate":
-    """The canonical live instance of ``surrogate``.
-
-    The first instance seen for a ``(space, value)`` pair becomes the
-    canonical one; later reconstructions (persistence load, CLI parsing)
-    are folded onto it so registry/lock-table probes compare by identity.
-    """
-    key = (surrogate.space, surrogate.value)
-    pooled = _SURROGATES.get(key)
-    if pooled is None:
-        _SURROGATES[key] = surrogate
-        return surrogate
-    return pooled
-
-
 def interning_stats() -> Dict[str, int]:
-    """Pool sizes (diagnostics / tests)."""
-    return {
-        "interning.names": len(_NAMES),
-        "interning.surrogates": len(_SURROGATES),
-    }
+    """Pool size (diagnostics / tests)."""
+    return {"interning.names": len(_NAMES)}
 
 
 class InternPool:
-    """Facade over the shared pools, exposed as ``catalog.interning``.
+    """Facade over the shared pool, exposed as ``catalog.interning``.
 
     All catalogs share one pool by design — a name interned while defining
     a type in one database must be the same instance another database's
@@ -91,16 +57,8 @@ class InternPool:
         """Intern an attribute/member name string."""
         return intern_name(name)
 
-    def surrogate(self, surrogate: "Surrogate") -> "Surrogate":
-        """Intern a surrogate token."""
-        return intern_surrogate(surrogate)
-
     def stats(self) -> Dict[str, int]:
         return interning_stats()
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        stats = interning_stats()
-        return (
-            f"<InternPool names={stats['interning.names']} "
-            f"surrogates={stats['interning.surrogates']}>"
-        )
+        return f"<InternPool names={interning_stats()['interning.names']}>"

@@ -8,13 +8,10 @@ A :class:`Surrogate` is an immutable, hashable token.  Surrogates are never
 reused within one :class:`SurrogateGenerator`, independent of deletions, and
 they order by creation time, which the version and lock managers rely on.
 
-Surrogates are *interned*: the generator registers every fresh token in the
-shared pool (:mod:`repro.core.interning`), and reconstruction sites
-(persistence load, CLI selectors) fold duplicates onto the live instance
-via :meth:`Surrogate.intern` — registry, lock-table and index probes then
-hit the dict identity fast path instead of comparing ``(value, space)``
-tuples.  The hash is computed once at construction for the same reason:
-surrogates key nearly every hot dictionary in the engine.
+The hash is computed once at construction: surrogates key nearly every
+hot dictionary in the engine.  All surrogates of one generator share one
+interned space string, so the ``(value, space)`` compares behind equality
+and ordering meet the identical string first.
 """
 
 from __future__ import annotations
@@ -24,8 +21,6 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Iterator
-
-from .interning import intern_surrogate
 
 
 @dataclass(frozen=True, order=True)
@@ -52,10 +47,6 @@ class Surrogate:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def intern(self) -> "Surrogate":
-        """The canonical live instance of this token (see interning pool)."""
-        return intern_surrogate(self)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"@{self.space}:{self.value}"
@@ -94,16 +85,11 @@ class SurrogateGenerator:
         return self._last
 
     def fresh(self) -> Surrogate:
-        """Return a surrogate never issued before by this generator.
-
-        The fresh token is registered in the shared interning pool at
-        creation time, making it the canonical instance later
-        reconstructions resolve to.
-        """
+        """Return a surrogate never issued before by this generator."""
         with self._lock:
             value = next(self._counter)
             self._last = value
-        return intern_surrogate(Surrogate(value, self._space))
+        return Surrogate(value, self._space)
 
     def fresh_many(self, count: int) -> Iterator[Surrogate]:
         """Yield ``count`` fresh surrogates (convenience for bulk loads)."""

@@ -18,10 +18,6 @@ from .unparse import unparse_domain
 __all__ = ["document_catalog", "hierarchy_lines"]
 
 
-def _anchor(name: str) -> str:
-    return name.lower().replace(".", "").replace("_", "").replace("/", "")
-
-
 def _member_rows(type_: TypeBase, catalog: Catalog) -> List[str]:
     rows: List[str] = []
     for name, spec in type_.attributes.items():

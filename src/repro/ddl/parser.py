@@ -79,10 +79,6 @@ class _DdlParser:
     def current(self) -> DdlToken:
         return self.tokens[self.pos]
 
-    def peek(self, offset: int = 1) -> DdlToken:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
-
     def advance(self) -> DdlToken:
         token = self.tokens[self.pos]
         if token.kind != "EOF":

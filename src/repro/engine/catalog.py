@@ -34,7 +34,7 @@ from ..errors import (
 
 __all__ = ["Catalog"]
 
-#: Facade over the process-wide interning pools (see repro.core.interning).
+#: Facade over the process-wide name-interning pool (see repro.core.interning).
 _INTERN_POOL = InternPool()
 
 #: Domains every catalog starts with, under the paper's spellings.
@@ -95,11 +95,11 @@ class Catalog:
 
     @property
     def interning(self) -> InternPool:
-        """The shared surrogate/attribute-name interning pool.
+        """The shared attribute-name interning pool.
 
-        One pool per process (names and surrogate tokens are canonical
-        across catalogs, like the schema epoch); exposed here so tools
-        inspect ``catalog.interning.stats()`` next to the schema state.
+        One pool per process (names are canonical across catalogs, like
+        the schema epoch); exposed here so tools inspect
+        ``catalog.interning.stats()`` next to the schema state.
         """
         return _INTERN_POOL
 
@@ -113,10 +113,6 @@ class Catalog:
     def define_object_type(self, name: str, **kwargs) -> ObjectType:
         """Create and register an :class:`~repro.core.objtype.ObjectType`."""
         return self.register(ObjectType(name, **kwargs))  # type: ignore[return-value]
-
-    def define_relationship_type(self, name: str, relates, **kwargs) -> RelationshipType:
-        """Create and register a :class:`~repro.core.reltype.RelationshipType`."""
-        return self.register(RelationshipType(name, relates, **kwargs))  # type: ignore[return-value]
 
     def define_inheritance_type(
         self, name: str, transmitter_type, inheriting, **kwargs

@@ -340,12 +340,6 @@ class Database:
     def count(self) -> int:
         return len(self._objects)
 
-    def check_all_constraints(self) -> None:
-        """Deep-check constraints of every top-level object (diagnostics)."""
-        for obj in self.objects():
-            if obj.parent is None and not obj.deleted:
-                obj.check_constraints(deep=True)
-
     def __repr__(self) -> str:
         return (
             f"<Database {self.name!r} objects={len(self._objects)} "

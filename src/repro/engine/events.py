@@ -197,6 +197,3 @@ class EventBus:
     def events_of(self, kind: str) -> Tuple[Event, ...]:
         """Recorded events of one kind (requires ``record=True``)."""
         return tuple(event for event in self.history if event.kind == kind)
-
-    def clear_history(self) -> None:
-        self.history.clear()

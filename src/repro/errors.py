@@ -80,10 +80,6 @@ class InheritanceError(ReproError):
     """
 
 
-class PermeabilityError(InheritanceError):
-    """The requested attribute is not permeable through the relationship."""
-
-
 # ---------------------------------------------------------------------------
 # Version-management errors
 # ---------------------------------------------------------------------------

@@ -201,10 +201,6 @@ class CompileInfo:
                 seen.append(kind)
         return tuple(seen)
 
-    def details(self, kind: str) -> Tuple[str, ...]:
-        """The detail strings of every reason of ``kind``."""
-        return tuple(detail for k, detail in self.reasons if k == kind)
-
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"<CompileInfo fast={self.fast} reasons={len(self.reasons)}>"
 

@@ -1,36 +1,44 @@
-"""The unified benchmark harness behind ``repro bench``.
+"""The benchmark harness behind ``repro bench``.
 
-The repo's perf claims live in ``benchmarks/bench_e*.py`` /
-``bench_fig*.py``; until this module they were driven only through
-pytest-benchmark and their trajectory existed as prose in EXPERIMENTS.md.
-This harness closes the loop from measurement to regression detection:
+Every timed case of the repo is written once, in the ``register(suite)``
+function of a ``benchmarks/bench_*.py`` module, and this module is the
+only thing that times them:
 
-* **One timing discipline for every suite.**  Each benchmark module
-  exposes ``register(suite)`` (see :class:`BenchSuite`); the
-  :class:`Runner` applies the same warmup, timeit-style inner-loop
-  calibration, repetition and GC pinning to every case, so all suites
-  report identical statistics (min/median/mean/stdev over per-iteration
-  seconds).  The headline metric is **min** — the least noise-contaminated
-  estimator of the true cost of a deterministic operation.
+* **One timing discipline.**  The :class:`Runner` applies the same
+  warmup, timeit-style inner-loop calibration, repetition and GC pinning
+  to every case and reports min/median/mean/stdev over per-iteration
+  seconds.  The headline metric is **min** — the least
+  noise-contaminated estimator of the true cost of a deterministic
+  operation.  A case whose timed call consumes its state (a delete, an
+  incorporation into a fresh composite) registers with ``setup=True``
+  and gets an untimed setup before each timed call.
+
+* **Checked answers.**  Each factory calls its thunk once and asserts on
+  the answer before returning it.  A factory that raises stops the run
+  with :class:`CaseError` before its case is timed, so a wrong answer is
+  never measured.  ``pytest benchmarks`` builds every quick case the
+  same way (``benchmarks/conftest.py``).
 
 * **Versioned in-repo snapshots.**  :func:`write_snapshot` emits
   ``BENCH_<seq>.json`` (``repro.bench/1`` schema) at the repo root with a
   machine/commit fingerprint, so the perf trajectory is tracked by git
-  next to the code that moved it.
+  next to the code that moved it; ``benchmarks/report.py`` renders
+  EXPERIMENTS.md from one snapshot.
 
 * **Noise-aware regression gating.**  :func:`compare_snapshots` reports
   per-case ratios against a prior snapshot with a relative threshold and
   an absolute noise floor; the CLI confirms suspected regressions by
-  re-running just those cases (min-of-more) before failing, so transient
-  scheduler noise does not page anyone.
+  re-measuring just those cases in fresh processes
+  (:func:`confirm_regressions`) before failing, so neither scheduler
+  noise nor a slow mode of one process fails the gate.
 
-Everything is stdlib; pytest-benchmark remains the interactive driver for
-the same suites (both call the same module-level builders).
+Everything is stdlib.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import importlib
 import json
 import math
@@ -42,16 +50,18 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchCase",
     "BenchSuite",
+    "CaseError",
     "CaseResult",
     "Runner",
     "Comparison",
     "Delta",
+    "alternating_best",
     "discover_suites",
     "fingerprint",
     "make_snapshot",
@@ -62,6 +72,8 @@ __all__ = [
     "write_snapshot",
     "latest_snapshot",
     "compare_snapshots",
+    "dirty_warning",
+    "confirm_regressions",
 ]
 
 BENCH_SCHEMA_VERSION = "repro.bench/1"
@@ -75,27 +87,52 @@ _SNAPSHOT_RE = re.compile(r"^BENCH_(\d{4,})\.json$")
 # ---------------------------------------------------------------------------
 
 
+class CaseError(Exception):
+    """A case could not be built: its factory (or its answer check) raised."""
+
+
 @dataclass
 class BenchCase:
-    """One registered benchmark: a lazy ``make`` returning the timed thunk.
+    """One registered benchmark: a lazy ``make`` returning what is timed.
 
-    ``make`` runs the case's setup (build the database, warm the caches)
-    and returns the zero-argument callable the runner times — setup cost
-    never pollutes the measurement, and skipped cases (quick mode) never
-    pay their setup.  ``number`` pins the inner-loop count; ``None`` lets
-    the runner calibrate it.
+    ``make`` runs the case's setup (build the database, warm the caches,
+    check the answer) and returns the zero-argument thunk the runner
+    times, so setup cost never pollutes the measurement and skipped cases
+    (quick mode) never pay their setup.  ``number`` pins the inner-loop
+    count; ``None`` lets the runner calibrate it.
+
+    With ``setup=True``, ``make`` returns a pair ``(setup, fn)`` instead:
+    every round calls ``setup()`` untimed and times one ``fn(state)`` on
+    its result.
     """
 
     name: str
     group: str
-    make: Callable[[], Callable[[], Any]]
+    make: Callable[[], Any]
     number: Optional[int] = None
+    setup: bool = False
+
+    def build(self) -> Tuple[Optional[Callable[[], Any]], Callable[..., Any]]:
+        """Run the factory and one untimed call of what it returns.
+
+        Returns ``(setup or None, fn)``.  Raises :class:`CaseError` when
+        the factory, its answer check or that first call fails.
+        """
+        try:
+            made = self.make()
+            setup, fn = made if self.setup else (None, made)
+            fn() if setup is None else fn(setup())
+        except Exception as exc:
+            raise CaseError(
+                f"{self.group}::{self.name}: {type(exc).__name__}: {exc}"
+            ) from exc
+        return setup, fn
 
 
 class BenchSuite:
     """The registration surface handed to each module's ``register()``.
 
-    ``suite.quick`` tells the adapter which scale regime is being run, so
+    ``suite.quick`` tells the module which scale regime is being run, so
     heavy parameterisations (50k-object libraries, fan-out 100) can drop
     to CI-friendly sizes without forking the benchmark logic::
 
@@ -105,28 +142,38 @@ class BenchSuite:
                 @suite.case(f"eq_indexed[{n}]")
                 def make(n=n):
                     db = parts_db(n)
+                    result = run_with(db, QUERY, True)
+                    assert len(result) == 100
                     return lambda: run_with(db, QUERY, True)
+
+    ``directory`` is the benchmark directory the suite's module was
+    discovered in; confirmation re-imports it from there in a fresh
+    process.
     """
 
-    def __init__(self, group: str, quick: bool = False):
+    def __init__(
+        self, group: str, quick: bool = False, directory: Optional[str] = None
+    ):
         self.group = group
         self.quick = quick
+        self.directory = directory
         self.cases: List[BenchCase] = []
 
     def case(
         self,
         name: str,
-        make: Optional[Callable[[], Callable[[], Any]]] = None,
+        make: Optional[Callable[[], Any]] = None,
         *,
         number: Optional[int] = None,
+        setup: bool = False,
     ):
         """Register a case; usable directly or as a decorator on ``make``."""
         if make is not None:
-            self.cases.append(BenchCase(name, self.group, make, number))
+            self.cases.append(BenchCase(name, self.group, make, number, setup))
             return make
 
-        def decorate(fn: Callable[[], Callable[[], Any]]):
-            self.cases.append(BenchCase(name, self.group, fn, number))
+        def decorate(fn: Callable[[], Any]):
+            self.cases.append(BenchCase(name, self.group, fn, number, setup))
             return fn
 
         return decorate
@@ -146,8 +193,8 @@ def discover_suites(
 ) -> Tuple[List[BenchSuite], List[str]]:
     """Import every ``bench_*.py`` under ``bench_dir`` and collect suites.
 
-    Modules are imported as ``benchmarks.<stem>`` (the directory's parent
-    goes on ``sys.path``), so their own ``from benchmarks import obs_hook``
+    Modules are imported as ``<dirname>.<stem>`` (the directory's parent
+    goes on ``sys.path``), so their own ``from benchmarks.bench_e14_…``
     imports keep working.  ``only`` filters module stems by substring
     (``e14`` matches ``bench_e14_resolution``).  Returns the registered
     suites plus the stems of modules that expose no ``register``.
@@ -169,7 +216,7 @@ def discover_suites(
         if register is None:
             unadapted.append(stem)
             continue
-        suite = BenchSuite(stem, quick=quick)
+        suite = BenchSuite(stem, quick=quick, directory=str(directory))
         register(suite)
         suites.append(suite)
     return suites, unadapted
@@ -233,12 +280,15 @@ class CaseResult:
 class Runner:
     """Warmup + calibration + repetition + GC pinning for every case.
 
-    The discipline, per case: run ``make()`` (setup, untimed), call the
-    thunk ``warmup`` times, calibrate an inner-loop ``number`` so one
-    measurement spans at least ``min_time`` (timeit's doubling strategy —
-    keeps the clock-read overhead amortised for nanosecond-scale thunks),
-    then take ``repeats`` measurements of ``number`` iterations each with
-    the GC frozen (collected once up front, disabled while timing).
+    The discipline, per case: build it (factory, answer check and a
+    first call, untimed), call the thunk until it has run ``warmup``
+    times, calibrate an inner-loop
+    ``number`` so one measurement spans at least ``min_time`` (timeit's
+    doubling strategy — keeps the clock-read overhead amortised for
+    nanosecond-scale thunks), then take ``repeats`` measurements of
+    ``number`` iterations each with the GC frozen (collected once up
+    front, disabled while timing).  A ``setup=True`` case instead takes
+    ``repeats`` rounds of one untimed ``setup()`` and one timed call.
     """
 
     def __init__(
@@ -270,10 +320,13 @@ class Runner:
         return number
 
     def run_case(self, case: BenchCase) -> CaseResult:
-        fn = case.make()
-        for _ in range(self.warmup):
-            fn()
-        number = case.number or self.calibrate(fn)
+        setup, fn = case.build()  # its call is the first warmup call
+        for _ in range(self.warmup - 1):
+            fn() if setup is None else fn(setup())
+        if setup is None:
+            number = case.number or self.calibrate(fn)
+        else:
+            number = 1
         times: List[float] = []
         gc.collect()
         gc_was_enabled = gc.isenabled()
@@ -281,9 +334,14 @@ class Runner:
         try:
             perf_counter = time.perf_counter
             for _ in range(self.repeats):
-                start = perf_counter()
-                for _ in range(number):
-                    fn()
+                if setup is None:
+                    start = perf_counter()
+                    for _ in range(number):
+                        fn()
+                else:
+                    state = setup()
+                    start = perf_counter()
+                    fn(state)
                 times.append((perf_counter() - start) / number)
         finally:
             if gc_was_enabled:
@@ -321,6 +379,24 @@ class Runner:
         return results
 
 
+def alternating_best(
+    fns: Sequence[Callable[[], Any]], rounds: int = 5
+) -> List[float]:
+    """The best wall time of one call of each of ``fns``.
+
+    Each round times one call of every function in turn, so a swing in
+    host speed during the measurement hits every side alike; acceptance
+    tests compare the returned minimums as ratios.
+    """
+    best = [math.inf] * len(fns)
+    for _ in range(rounds):
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
+
+
 def _format_time(seconds: float) -> str:
     if seconds < 1e-6:
         return f"{seconds * 1e9:.0f}ns"
@@ -354,17 +430,23 @@ def _git(*args: str) -> Optional[str]:
 def fingerprint() -> Dict[str, Any]:
     """Machine + interpreter + commit identity of one benchmark run.
 
-    Comparisons across different fingerprints are still allowed (the CLI
-    only warns): the trajectory spans machines, and the threshold +
-    confirmation discipline is what filters environment noise.
+    On a dirty tree ``diff_sha256`` digests ``git diff HEAD``: the numbers
+    then belong to no commit, and two dirty runs of one commit measured
+    the same code only if their digests agree.  Comparisons across
+    fingerprints are still allowed (the CLI only warns): the trajectory
+    spans machines, and the threshold + confirmation discipline is what
+    filters environment noise.
     """
     import platform
 
     commit = _git("rev-parse", "HEAD")
-    dirty = None
+    dirty = diff_sha256 = None
     if commit is not None:
         status = _git("status", "--porcelain")
         dirty = bool(status) if status is not None else None
+        diff = _git("diff", "HEAD") if dirty else None
+        if diff is not None:
+            diff_sha256 = hashlib.sha256(diff.encode()).hexdigest()
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -373,6 +455,7 @@ def fingerprint() -> Dict[str, Any]:
         "cpu_count": os.cpu_count(),
         "commit": commit,
         "dirty": dirty,
+        "diff_sha256": diff_sha256,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
 
@@ -591,46 +674,89 @@ def compare_snapshots(
     return comparison
 
 
+def dirty_warning(label: str, snap: Dict[str, Any]) -> Optional[str]:
+    """A warning when ``snap`` was measured on a dirty tree, else None."""
+    fp = snap.get("fingerprint", {})
+    if not fp.get("dirty"):
+        return None
+    digest = fp.get("diff_sha256")
+    return (
+        f"warning: {label} was measured on a dirty tree (commit "
+        f"{fp.get('commit') or 'unknown'} plus uncommitted changes, "
+        f"diff {digest[:12] if digest else 'not recorded'}); its numbers "
+        "belong to no commit"
+    )
+
+
+def measure_in_fresh_process(
+    suite: BenchSuite, name: str, runner: Runner
+) -> CaseResult:
+    """Measure one case in a new interpreter (``repro bench --no-emit --json``)."""
+    if suite.directory is None:
+        raise CaseError(f"{suite.group}::{name}: suite has no directory to re-import")
+    command = [
+        sys.executable, "-m", "repro", "bench", "--dir", suite.directory,
+        "--only", suite.group, "--match", name,
+        "--repeats", str(runner.repeats), "--no-emit", "--json",
+    ]
+    if runner.quick:
+        command.append("--quick")
+    env = dict(os.environ)
+    package_root = str(Path(__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (package_root, env.get("PYTHONPATH")) if path
+    )
+    done = subprocess.run(command, capture_output=True, text=True, env=env)
+    if done.returncode != 0:
+        raise CaseError(
+            f"{suite.group}::{name}: re-measure failed: {done.stderr.strip()}"
+        )
+    for entry in json.loads(done.stdout)["results"]:
+        if entry["group"] == suite.group and entry["name"] == name:
+            return CaseResult(**entry)
+    raise CaseError(f"{suite.group}::{name}: missing from the re-measure")
+
+
 def confirm_regressions(
     comparison: Comparison,
     suites: Iterable[BenchSuite],
     runner: Runner,
     results: List[CaseResult],
-    rounds: int = 2,
+    rounds: int = 3,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[CaseResult]:
-    """Repeat-to-confirm: re-run only the suspected regressions.
+    """Repeat-to-confirm: re-measure only the suspects, in fresh processes.
 
-    Each suspect is re-measured up to ``rounds`` more times; its result is
-    replaced by the best-of-all-runs merge (see
-    :meth:`CaseResult.merge_best`).  A case that stops regressing after
-    any round is cleared immediately.  Returns the updated result list;
-    the caller re-compares to get the confirmed verdict.
+    Each suspect is re-measured in up to ``rounds`` new interpreters, the
+    suspects taking turns round by round, and its result becomes the
+    best-of-all-runs merge (see :meth:`CaseResult.merge_best`).  A fresh
+    process gets a fresh heap and allocator state, so a slow mode that
+    one process fell into does not survive confirmation.  A suspect is
+    cleared as soon as its merged min is back inside the threshold.
+    Returns the updated result list; the caller re-compares to get the
+    confirmed verdict.
     """
     if comparison.ok:
         return results
-    suspects = {delta.key for delta in comparison.regressions}
     by_key = {f"{r.group}::{r.name}": r for r in results}
-    cases = {
-        f"{suite.group}::{case.name}": case
+    suite_of = {
+        f"{suite.group}::{case.name}": suite
         for suite in suites
         for case in suite.cases
     }
-    for key in sorted(suspects):
-        case = cases.get(key)
-        if case is None:  # pragma: no cover - result without a live case
-            continue
-        suspect_delta = next(d for d in comparison.regressions if d.key == key)
-        for round_index in range(rounds):
-            rerun = runner.run_case(case)
-            merged = by_key[key].merge_best(rerun)
-            by_key[key] = merged
+    pending = [delta for delta in comparison.regressions if delta.key in suite_of]
+    for round_index in range(rounds):
+        still = []
+        for delta in sorted(pending, key=lambda d: d.key):
+            rerun = measure_in_fresh_process(suite_of[delta.key], delta.name, runner)
+            merged = by_key[delta.key] = by_key[delta.key].merge_best(rerun)
             if progress is not None:
                 progress(
-                    f"confirm[{round_index + 1}/{rounds}] {key}: "
+                    f"confirm[{round_index + 1}/{rounds}] {delta.key}: "
                     f"min={_format_time(merged.min)} "
-                    f"(was {_format_time(suspect_delta.before)})"
+                    f"(was {_format_time(delta.before)})"
                 )
-            if merged.min <= suspect_delta.before * (1 + comparison.threshold):
-                break
+            if merged.min > delta.before * (1 + comparison.threshold):
+                still.append(delta)
+        pending = still
     return [by_key[f"{r.group}::{r.name}"] for r in results]

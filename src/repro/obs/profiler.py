@@ -166,23 +166,6 @@ class SamplingProfiler:
             for frame, count in leaves.most_common()
         ]
 
-    def total_times(self) -> List[Tuple[str, int, float]]:
-        """``(frame, samples, seconds)`` counting every appearance on a stack."""
-        totals: Counter = Counter()
-        for stack, count in self.stacks.items():
-            for frame in set(stack):  # once per stack: total, not cumulative
-                totals[frame] += count
-        interval = self.interval
-        return [
-            (frame, count, count * interval)
-            for frame, count in totals.most_common()
-        ]
-
-    def top_frame(self) -> Optional[str]:
-        """The frame with the most self time, or None without samples."""
-        table = self.self_times()
-        return table[0][0] if table else None
-
     def per_span(self) -> List[Tuple[str, int, float]]:
         """``(span name, samples, seconds)`` attribution, descending."""
         interval = self.interval

@@ -281,13 +281,6 @@ class FlightRecorder:
             if name in sample.rates
         ]
 
-    def gauge_series(self, name: str) -> List[float]:
-        return [
-            sample.gauges[name]
-            for sample in self.samples()
-            if name in sample.gauges
-        ]
-
     def snapshot(self) -> Dict[str, Any]:
         """The ``repro.flight/1`` JSON document."""
         with self._lock:

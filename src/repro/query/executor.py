@@ -32,21 +32,6 @@ from .planner import QueryPlan, plan_source, resolve_source
 
 __all__ = ["QueryResult", "execute_query", "run_query"]
 
-#: When false, where/order/projection expressions evaluate with the
-#: tree-walking interpreter instead of compiled slot programs — the
-#: compiled engine's oracle mode, used by equivalence tests and the E19
-#: benchmark baseline.  Per-call override via ``execute_query(...,
-#: compiled=...)``.
-USE_COMPILED = True
-
-#: When false, full-scan predicates are never routed to materialized
-#: per-type views (:mod:`repro.query.views`) — the live-resolution path
-#: is the views engine's differential oracle, used by the equivalence
-#: tests and the E20 benchmark baseline.  Per-call override via
-#: ``execute_query(..., views=...)``.
-USE_VIEWS = True
-
-
 @dataclass
 class QueryResult:
     """The outcome of one query.
@@ -96,8 +81,8 @@ def _sort_key(value: Any):
 def execute_query(
     db: Database,
     spec: QuerySpec,
-    compiled: Optional[bool] = None,
-    views: Optional[bool] = None,
+    compiled: bool = True,
+    views: bool = True,
 ) -> QueryResult:
     """Run a parsed query against a database."""
     obs = getattr(db, "obs", None)
@@ -165,11 +150,9 @@ def _execute(
     db: Database,
     spec: QuerySpec,
     obs,
-    compiled: Optional[bool] = None,
-    views: Optional[bool] = None,
+    compiled: bool = True,
+    views: bool = True,
 ) -> QueryResult:
-    use_compiled = USE_COMPILED if compiled is None else compiled
-    use_views = USE_VIEWS if views is None else views
     source = resolve_source(db, spec.source_name)
     plan, candidates = plan_source(db, source, spec.where, text=spec.text)
 
@@ -177,9 +160,9 @@ def _execute(
     scanned = 0
     where = spec.where
     batched = False
-    if use_compiled and where is not None and candidates:
+    if compiled and where is not None and candidates:
         outcome = None
-        if use_views and plan.access_path == "full-scan":
+        if views and plan.access_path == "full-scan":
             # View routing: predicates over inherited members run against
             # the type's materialized view columns (plan shows "view").
             # Index paths keep precedence — sub-linear beats faster-scan.
@@ -199,7 +182,7 @@ def _execute(
             batched = True
     if batched:
         pass
-    elif use_compiled:
+    elif compiled:
         # Per-type dispatch: one compiled slot program per concrete type,
         # applied over runs of candidates (heterogeneous extents, or no
         # where clause at all).
@@ -254,7 +237,7 @@ def _execute(
 
     if spec.order_by is not None:
         order_node = spec.order_by
-        if use_compiled:
+        if compiled:
             order_fns: dict = {}
 
             def order_key(obj: DBObject):
@@ -301,7 +284,7 @@ def _execute(
         return QueryResult(spec, ["*"], rows, matches, plan)
 
     rows = []
-    if use_compiled:
+    if compiled:
         proj_fns: dict = {}
         for obj in matches:
             fns = proj_fns.get(id(obj.object_type))
@@ -334,8 +317,8 @@ def run_query(
     db: Database,
     text: str,
     explain: bool = False,
-    compiled: Optional[bool] = None,
-    views: Optional[bool] = None,
+    compiled: bool = True,
+    views: bool = True,
 ) -> QueryResult:
     """Parse and execute query text in one step.
 

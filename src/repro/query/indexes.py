@@ -82,13 +82,15 @@ def kind_of(value: Any) -> int:
     return KIND_OTHER
 
 
-def extract_value(obj, attr: str) -> Any:
+def extract_value(obj: Any, attr: str) -> Any:
     """The value the expression evaluator would see for a bare ``attr``.
 
     Mirrors :meth:`repro.expr.context.EvalContext.lookup` +
     :meth:`repro.expr.ast.Name.evaluate` with the default
     ``unresolved_as_literal=True``: unresolved names evaluate to their own
-    spelling (the paper's unquoted enum-label convention).
+    spelling (the paper's unquoted enum-label convention).  Any *other*
+    exception propagates; value indexes and view cells both extract
+    through here, and a view taints the row.
     """
     try:
         return obj.get_member(attr)
@@ -437,10 +439,6 @@ class IndexManager:
 
     # -- the per-type extent index ----------------------------------------------
 
-    def order_token(self, obj) -> int:
-        """Global adoption ordinal — the scan order of ``objects()``."""
-        return self._adopt_order.get(obj.surrogate, 0)
-
     def _closure(self, resolved) -> Tuple[Any, ...]:
         """Concrete types with buckets that conform to ``resolved``."""
         version = (_resolution.schema_epoch(), self._types_version)
@@ -560,8 +558,3 @@ class IndexManager:
         elif index in self._type_indexes:
             self._type_indexes.remove(index)
         self._bump("index.dropped")
-
-    def drop_value_indexes(self) -> None:
-        """Drop every value index (they rebuild lazily on next use)."""
-        for index in list(self._value_indexes.values()):
-            self._drop(index)

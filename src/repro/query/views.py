@@ -54,9 +54,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core import resolution as _resolution
-from ..errors import UnknownAttributeError
 from ..expr.ast import Binary, Name, Node, Path, Unary
 from ..expr.compile import _Codegen
+from .indexes import extract_value
 
 __all__ = ["TypeView", "ViewManager", "view_eligible_names"]
 
@@ -81,20 +81,6 @@ def view_eligible_names(plan: Any) -> List[str]:
         for name, entry in plan.entries.items()
         if entry.rels and entry.kind in _ELIGIBLE_KINDS
     ]
-
-
-def _extract_cell(obj: Any, name: str) -> Any:
-    """What a bare-name read of ``name`` on ``obj`` evaluates to.
-
-    Mirrors the compiled member fallback (and ``Name.evaluate`` with the
-    default ``unresolved_as_literal``): unresolvable names evaluate as
-    their own spelling — the paper's unquoted enum-label convention.
-    Any *other* exception propagates; the caller taints the row.
-    """
-    try:
-        return obj.get_member(name)
-    except (KeyError, UnknownAttributeError):
-        return name
 
 
 class _ViewProgram:
@@ -243,7 +229,7 @@ class TypeView:
         surrogate = obj.surrogate
         try:
             for name, column in zip(self.names, self.columns):
-                column[row] = _extract_cell(obj, name)
+                column[row] = extract_value(obj, name)
         except Exception:  # noqa: BLE001 — parity: live path must raise this
             self.tainted.add(surrogate)
         else:
@@ -281,7 +267,7 @@ class TypeView:
         if san is not None:
             san.write(("view", id(self)), label=f"view:{self.type.name}")
         try:
-            self.columns[col][row] = _extract_cell(obj, name)
+            self.columns[col][row] = extract_value(obj, name)
         except Exception:  # noqa: BLE001 — see _fill_row
             self.tainted.add(obj.surrogate)
         return True

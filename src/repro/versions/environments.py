@@ -30,9 +30,6 @@ class Environment:
         """Pin ``design_object`` (e.g. an interface) to ``version``."""
         self._assignments[design_object.surrogate] = version
 
-    def unassign(self, design_object: DBObject) -> None:
-        self._assignments.pop(design_object.surrogate, None)
-
     def version_for(self, design_object: DBObject) -> Optional[DBObject]:
         """The pinned version, or None when the environment is silent."""
         return self._assignments.get(design_object.surrogate)

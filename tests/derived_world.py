@@ -24,7 +24,6 @@ from repro.core.inheritance import InheritanceRelationshipType
 from repro.core.objtype import ObjectType
 from repro.core.reltype import RelationshipType
 from repro.query.indexes import extract_value
-from repro.query.views import _extract_cell
 
 
 def make_schema(uname):
@@ -130,5 +129,5 @@ def assert_derived_state_fresh(db):
                 continue
             obj = db.get(surrogate)
             for name, column in zip(view.names, view.columns):
-                assert _same(column[row], _extract_cell(obj, name)), (
+                assert _same(column[row], extract_value(obj, name)), (
                     view.type.name, name, obj)

@@ -1,15 +1,19 @@
 """Tests for the perf observatory (PR: bench harness, profiler, slow log).
 
-Covers `repro.obs.bench` (runner statistics, suite registration and
-discovery, the BENCH_*.json snapshot trajectory, the noise-aware compare
-gate with repeat-to-confirm), the sampling profiler, the slow-operation
-log's diagnosis capture, the `repro bench` / `repro profile` /
-`repro slowlog` CLI surfaces, and `benchmarks/report.py`.
+Covers `repro.obs.bench` (runner statistics, per-round setup, checked
+factories, suite registration and discovery, the BENCH_*.json snapshot
+trajectory and its dirty-tree fingerprint, the noise-aware compare gate
+with fresh-process confirmation), the sampling profiler, the
+slow-operation log's diagnosis capture, the `repro bench` /
+`repro profile` / `repro slowlog` CLI surfaces, and `benchmarks/report.py`.
 """
 
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -23,10 +27,13 @@ from repro.obs.bench import (
     Runner,
     compare_snapshots,
     confirm_regressions,
+    dirty_warning,
     discover_suites,
+    fingerprint,
     latest_snapshot,
     load_snapshot,
     make_snapshot,
+    measure_in_fresh_process,
     next_snapshot_path,
     snapshot_paths,
     validate_snapshot,
@@ -65,6 +72,39 @@ def register(suite):
 UNADAPTED_MODULE = """\
 def helper():
     return 1
+"""
+
+WRONG_ANSWER_MODULE = """\
+calls = []
+
+
+def register(suite):
+    @suite.case("wrong_answer")
+    def make():
+        def thunk():
+            calls.append(1)
+            return 41
+
+        assert thunk() == 42, "the answer is wrong"
+        return thunk
+"""
+
+#: A case that is slow only in the process whose pid is filled in.
+SLOW_IN_ONE_PROCESS_MODULE = """\
+import os
+import time
+
+SLOW = os.getpid() == {pid}
+
+
+def work():
+    if SLOW:
+        time.sleep(0.002)
+    return sum(range(50))
+
+
+def register(suite):
+    suite.case("moody", lambda: work)
 """
 
 
@@ -166,6 +206,47 @@ class TestSuiteAndRunner:
         assert merged.repeats == first.repeats + second.repeats
         assert merged.times == first.times + second.times
 
+    def test_setup_runs_once_per_round_outside_the_timing(self, monkeypatch):
+        clock = SteppingClock()
+        monkeypatch.setattr("repro.obs.bench.time", clock)
+        suite = BenchSuite("g", quick=True)
+        events = []
+
+        def setup():
+            clock.now += 100.0  # a timed setup would add this to its round
+            events.append("setup")
+            return len(events)
+
+        def consume(state):
+            events.append(("consumed", state))
+
+        suite.case("consuming", lambda: (setup, consume), setup=True)
+        runner = Runner(quick=True)
+        [result] = runner.run([suite])
+        # The build's checking call and the rest of the warmup are rounds
+        # too; every call consumes the state its own setup just made.
+        rounds = runner.warmup + runner.repeats
+        assert events.count("setup") == rounds
+        assert events[1::2] == [("consumed", i) for i in range(1, 2 * rounds, 2)]
+        assert result.number == 1 and result.repeats == runner.repeats
+        assert result.times == pytest.approx([clock.step] * runner.repeats)
+
+    def test_failing_factory_check_stops_the_run_untimed(
+        self, tmp_path, capsys
+    ):
+        bdir = make_bench_dir(tmp_path, {"bench_wrong.py": WRONG_ANSWER_MODULE})
+        root = tmp_path / "trajectory"
+        root.mkdir()
+        code = main([
+            "bench", "--quick", "--dir", str(bdir), "--root", str(root),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bench_wrong::wrong_answer" in err and "the answer is wrong" in err
+        module = sys.modules[f"{bdir.name}.bench_wrong"]
+        assert module.calls == [1]  # the factory's check, nothing timed
+        assert snapshot_paths(str(root)) == []
+
 
 class TestDiscovery:
     def test_discovers_adapted_and_reports_unadapted(self, tmp_path):
@@ -257,6 +338,40 @@ class TestSnapshots:
             write_snapshot(str(tmp_path / "BENCH_0001.json"), {"schema": "no"})
         assert snapshot_paths(str(tmp_path)) == []
 
+    def test_fingerprint_digests_the_diff_of_a_dirty_tree(
+        self, tmp_path, monkeypatch
+    ):
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
+                 *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        tracked = tmp_path / "tracked.txt"
+        tracked.write_text("one\n")
+        git("init", "-q")
+        git("add", "tracked.txt")
+        git("commit", "-qm", "seed")
+        monkeypatch.chdir(tmp_path)
+        clean = fingerprint()
+        assert clean["dirty"] is False and clean["diff_sha256"] is None
+        tracked.write_text("two\n")
+        dirty = fingerprint()
+        assert dirty["dirty"] is True and len(dirty["diff_sha256"]) == 64
+        tracked.write_text("three\n")
+        assert fingerprint()["diff_sha256"] != dirty["diff_sha256"]
+
+    def test_dirty_warning_names_the_dirty_side(self):
+        snap = make_snapshot([result_of()], seq=1)
+        snap["fingerprint"].update(dirty=False, diff_sha256=None)
+        assert dirty_warning("baseline BENCH_0001.json", snap) is None
+        snap["fingerprint"].update(dirty=True, commit="c0ffee", diff_sha256="ab" * 32)
+        warning = dirty_warning("baseline BENCH_0001.json", snap)
+        assert "baseline BENCH_0001.json" in warning
+        assert "dirty tree" in warning and "c0ffee" in warning
+        assert "abababababab" in warning
+
     def test_load_rejects_doctored_schema(self, tmp_path):
         path = tmp_path / "BENCH_0001.json"
         snap = make_snapshot([result_of()], seq=1)
@@ -323,15 +438,11 @@ class TestCompare:
 
 
 class TestConfirmRegressions:
-    def test_transient_regression_clears_on_rerun(self):
-        suite = BenchSuite("g", quick=True)
-
-        @suite.case("steady")
-        def make_steady():
-            return lambda: sum(range(50))
-
+    def test_transient_regression_clears_on_rerun(self, tmp_path):
+        bdir = make_bench_dir(tmp_path, {"bench_alpha.py": ADAPTED_MODULE})
+        suites, _ = discover_suites(str(bdir), quick=True)
         runner = Runner(quick=True)
-        honest = runner.run([suite])
+        honest = runner.run(suites)
         prior = make_snapshot(honest, seq=1)
 
         # A scheduler hiccup: the measured run looks 20x slower.  The
@@ -352,12 +463,33 @@ class TestConfirmRegressions:
         assert not comparison.ok
 
         confirmed = confirm_regressions(
-            comparison, [suite], runner, contaminated, rounds=3
+            comparison, suites, runner, contaminated, rounds=3
         )
         recheck = compare_snapshots(
             prior, make_snapshot(confirmed, seq=2), threshold=4.0
         )
         assert recheck.ok  # the re-measure found the honest minimum
+
+    def test_fresh_processes_clear_a_slow_mode_of_this_process(self, tmp_path):
+        bdir = make_bench_dir(tmp_path, {
+            "bench_moody.py": SLOW_IN_ONE_PROCESS_MODULE.format(pid=os.getpid()),
+        })
+        suites, _ = discover_suites(str(bdir), quick=True)
+        runner = Runner(quick=True)
+        honest = measure_in_fresh_process(suites[0], "moody", runner)
+        prior = make_snapshot([honest], seq=1)
+        slow = runner.run(suites)  # this process sleeps 2 ms per call
+        comparison = compare_snapshots(prior, make_snapshot(slow, seq=2))
+        assert not comparison.ok
+        # Re-measuring here would only find the same slow mode again.
+        assert runner.run(suites)[0].min > 1e-3
+
+        progress = []
+        confirmed = confirm_regressions(
+            comparison, suites, runner, slow, rounds=3, progress=progress.append
+        )
+        assert compare_snapshots(prior, make_snapshot(confirmed, seq=2)).ok
+        assert len(progress) == 1  # cleared by the first fresh process
 
     def test_ok_comparison_is_untouched(self):
         results = [result_of()]
@@ -459,6 +591,21 @@ class TestBenchCLI:
         assert self.bench("--compare", bench_dir=bench_dir, root=root) == 0
         assert "seeds the trajectory" in capsys.readouterr().err
         assert (root / "BENCH_0001.json").exists()
+
+    def test_compare_warns_on_a_dirty_baseline(self, bench_dir, tmp_path, capsys):
+        root = tmp_path / "trajectory"
+        root.mkdir()
+        assert self.bench(bench_dir=bench_dir, root=root) == 0
+        baseline = root / "BENCH_0001.json"
+        snap = json.loads(baseline.read_text())
+        snap["fingerprint"].update(dirty=True, commit="c0ffee", diff_sha256="ab" * 32)
+        baseline.write_text(json.dumps(snap))
+        self.bench(
+            "--compare", str(baseline), "--no-emit", "--warn-only",
+            bench_dir=bench_dir, root=root,
+        )
+        err = capsys.readouterr().err
+        assert f"warning: baseline {baseline} was measured on a dirty tree" in err
 
     def test_list_and_no_emit(self, bench_dir, tmp_path, capsys):
         root = tmp_path / "trajectory"
@@ -758,24 +905,6 @@ class TestReport:
         assert report.format_time(4.5e-3) == "4.50 ms"
         assert report.format_time(2.0) == "2.000 s"
 
-    def test_snapshot_stats(self):
-        from benchmarks import report
-
-        stats = report._snapshot_stats({
-            "counters": {
-                "propagation.updates": 4,
-                "propagation.fanout_total": 40,
-                "reads.inherited": 9,
-            },
-            "histograms": {"propagation.fanout": {"mean": 10.0}},
-        })
-        assert stats["updates"] == 4
-        assert stats["mean fan-out"] == 10.0
-        assert stats["inherited reads"] == 9
-        assert "cache hit rate" not in stats
-        empty = report._snapshot_stats({})
-        assert empty["updates"] == 0 and empty["mean fan-out"] is None
-
     def test_e18_registered(self):
         from benchmarks import report
 
@@ -785,57 +914,32 @@ class TestReport:
     def test_main_renders_grouped_tables(self, tmp_path, capsys):
         from benchmarks import report
 
-        data = {
-            "machine_info": {
-                "python_version": "3.12.0",
-                "machine": "x86_64",
-                "system": "Linux",
-            },
-            "benchmarks": [
-                {
-                    "fullname": (
-                        "benchmarks/bench_e14_resolution.py"
-                        "::TestPlans::test_plan_read[8]"
-                    ),
-                    "name": "test_plan_read[8]",
-                    "stats": {"mean": 2.5e-7, "ops": 4e6, "rounds": 11},
-                },
-                {
-                    "fullname": (
-                        "benchmarks/bench_e18_observatory.py"
-                        "::TestProfilerTax::test_reads_unprofiled"
-                    ),
-                    "name": "test_reads_unprofiled",
-                    "stats": {"mean": 1.1e-3, "ops": 909.0, "rounds": 7},
-                },
-            ],
-        }
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(data))
+        snap = make_snapshot([
+            result_of("plan_read[16]", "bench_e14_resolution", 2.6e-7),
+            result_of("plan_read[8]", "bench_e14_resolution", 2.5e-7),
+            result_of("reads_unprofiled[5000]", "bench_e18_observatory", 1.1e-3),
+        ], seq=6)
+        snap["fingerprint"].update(
+            python="3.12.0", machine="x86_64", commit="0123456789abcdef",
+            dirty=False,
+        )
+        path = tmp_path / "BENCH_0006.json"
+        path.write_text(json.dumps(snap))
         report.main(str(path))
         out = capsys.readouterr().out
-        assert "E14" in out and "`plan_read[8]`" in out and "250 ns" in out
+        assert "E14" in out and "| `plan_read[8]` | 250 ns | 275 ns | 100 × 3 |" in out
+        assert out.index("`plan_read[8]`") < out.index("`plan_read[16]`")
         assert "profiler and slow-log overhead" in out
-        assert "`reads_unprofiled`" in out
+        assert "`reads_unprofiled[5000]`" in out
         assert "Run environment: Python 3.12.0" in out
+        assert "commit 0123456789ab;" in out and "`BENCH_0006.json`" in out
         # No stray sections for experiments absent from the run.
         assert "E17" not in out.replace("| E17 |", "")
 
-    def test_main_with_observability_section(self, tmp_path, capsys):
+    def test_main_refuses_what_is_not_a_snapshot(self, tmp_path):
         from benchmarks import report
 
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps({"machine_info": {}, "benchmarks": []}))
-        obs = tmp_path / "obs.json"
-        obs.write_text(json.dumps({
-            "runs": [{
-                "label": "fig2",
-                "counters": {"propagation.updates": 2},
-                "histograms": {},
-            }],
-            "totals": {"propagation.updates": 2},
-        }))
-        report.main(str(bench), str(obs))
-        out = capsys.readouterr().out
-        assert "## Observability metrics" in out
-        assert "`fig2`" in out and "**total**" in out
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"machine_info": {}, "benchmarks": []}))
+        with pytest.raises(SystemExit, match="not a repro.bench/1 snapshot"):
+            report.main(str(path))
