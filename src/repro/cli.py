@@ -600,7 +600,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 comparison = bench_harness.compare_snapshots(
                     prior, current, threshold=threshold
                 )
-            for label, snap in ((f"baseline {prior_path}", prior), ("this run", current)):
+            for label, snap in (
+                (f"baseline {prior_path}", prior), ("this run", current)
+            ):
                 warning = bench_harness.dirty_warning(label, snap)
                 if warning is not None:
                     print(warning, file=sys.stderr)

@@ -13,11 +13,12 @@ only thing that times them:
   incorporation into a fresh composite) registers with ``setup=True``
   and gets an untimed setup before each timed call.
 
-* **Checked answers.**  Each factory calls its thunk once and asserts on
-  the answer before returning it.  A factory that raises stops the run
-  with :class:`CaseError` before its case is timed, so a wrong answer is
-  never measured.  ``pytest benchmarks`` builds every quick case the
-  same way (``benchmarks/conftest.py``).
+* **Checked answers.**  A factory asserts on its case's answer before
+  returning the thunk, and the harness makes one more untimed call; a
+  factory, check or first call that raises stops the run with
+  :class:`CaseError` before the case is timed, so a wrong answer is never
+  measured.  ``pytest benchmarks`` builds every quick case the same way
+  (``benchmarks/conftest.py``).
 
 * **Versioned in-repo snapshots.**  :func:`write_snapshot` emits
   ``BENCH_<seq>.json`` (``repro.bench/1`` schema) at the repo root with a
@@ -48,6 +49,7 @@ import statistics
 import subprocess
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -73,6 +75,7 @@ __all__ = [
     "latest_snapshot",
     "compare_snapshots",
     "dirty_warning",
+    "measure_in_fresh_process",
     "confirm_regressions",
 ]
 
@@ -123,8 +126,10 @@ class BenchCase:
             setup, fn = made if self.setup else (None, made)
             fn() if setup is None else fn(setup())
         except Exception as exc:
+            where = traceback.extract_tb(exc.__traceback__)[-1]
             raise CaseError(
-                f"{self.group}::{self.name}: {type(exc).__name__}: {exc}"
+                f"{self.group}::{self.name}: {type(exc).__name__}: {exc} "
+                f"(at {where.filename}:{where.lineno})"
             ) from exc
         return setup, fn
 
@@ -282,13 +287,13 @@ class Runner:
 
     The discipline, per case: build it (factory, answer check and a
     first call, untimed), call the thunk until it has run ``warmup``
-    times, calibrate an inner-loop
-    ``number`` so one measurement spans at least ``min_time`` (timeit's
-    doubling strategy — keeps the clock-read overhead amortised for
-    nanosecond-scale thunks), then take ``repeats`` measurements of
-    ``number`` iterations each with the GC frozen (collected once up
-    front, disabled while timing).  A ``setup=True`` case instead takes
-    ``repeats`` rounds of one untimed ``setup()`` and one timed call.
+    times, calibrate an inner-loop ``number`` so one measurement spans at
+    least ``min_time`` (timeit's doubling strategy — keeps the clock-read
+    overhead amortised for nanosecond-scale thunks), then take
+    ``repeats`` measurements of ``number`` iterations each with the GC
+    frozen (collected once up front, disabled while timing).  A
+    ``setup=True`` case instead takes ``repeats`` rounds of one untimed
+    ``setup()`` and one timed call.
     """
 
     def __init__(
@@ -323,10 +328,7 @@ class Runner:
         setup, fn = case.build()  # its call is the first warmup call
         for _ in range(self.warmup - 1):
             fn() if setup is None else fn(setup())
-        if setup is None:
-            number = case.number or self.calibrate(fn)
-        else:
-            number = 1
+        number = (case.number or self.calibrate(fn)) if setup is None else 1
         times: List[float] = []
         gc.collect()
         gc_was_enabled = gc.isenabled()
@@ -691,7 +693,12 @@ def dirty_warning(label: str, snap: Dict[str, Any]) -> Optional[str]:
 def measure_in_fresh_process(
     suite: BenchSuite, name: str, runner: Runner
 ) -> CaseResult:
-    """Measure one case in a new interpreter (``repro bench --no-emit --json``)."""
+    """Measure one case in a new interpreter (``repro bench --no-emit --json``).
+
+    ``--match`` selects by substring, so the child may also time cases
+    whose names extend ``name`` (``x[1]`` matches ``x[10]``); only the
+    exact case's result is returned.
+    """
     if suite.directory is None:
         raise CaseError(f"{suite.group}::{name}: suite has no directory to re-import")
     command = [
@@ -744,10 +751,13 @@ def confirm_regressions(
         for suite in suites
         for case in suite.cases
     }
-    pending = [delta for delta in comparison.regressions if delta.key in suite_of]
+    pending = sorted(
+        (delta for delta in comparison.regressions if delta.key in suite_of),
+        key=lambda delta: delta.key,
+    )
     for round_index in range(rounds):
         still = []
-        for delta in sorted(pending, key=lambda d: d.key):
+        for delta in pending:
             rerun = measure_in_fresh_process(suite_of[delta.key], delta.name, runner)
             merged = by_key[delta.key] = by_key[delta.key].merge_best(rerun)
             if progress is not None:
