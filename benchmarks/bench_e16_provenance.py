@@ -55,7 +55,7 @@ def register(suite):
 
         @suite.case(f"update_audit_off[{fanout}]")
         def audit_off_case(fanout=fanout):
-            """Observe on, audit off: the PR-1 measurement baseline."""
+            """Observe on, audit off: the measurement baseline."""
             db, iface = _setup(fanout, observe=True, audit=False)
             update = updater(iface)
             assert db.obs.audit is None

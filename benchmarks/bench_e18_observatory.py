@@ -110,7 +110,7 @@ def register(suite):
 
     @suite.case("update_slowlog_detached")
     def detached_case():
-        """Observe on, slow log off: the pre-PR-6 measurement baseline."""
+        """Observe on, slow log off: the measurement baseline."""
         db, iface = _setup(observe=True, slowlog=False)
         assert db.obs.slowlog is None
         return updater(iface)

@@ -68,8 +68,8 @@ def expected_rows(n, predicate):
 
 class TestAcceptance:
     def test_compiled_beats_tree_walk_10x_at_50k(self):
-        """The PR's acceptance gate, measured in-process (best of 5,
-        compiled and tree-walk rounds alternating)."""
+        """The acceptance gate, measured in-process (best of 5, compiled
+        and tree-walk rounds alternating)."""
         db = parts_db(50_000)
         for label, fast, slow in [
             ("eq", lambda: run_query(db, EQ_QUERY, compiled=True),

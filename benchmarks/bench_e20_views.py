@@ -92,8 +92,8 @@ def expected(n, fan_out, predicate):
 
 class TestAcceptance:
     def test_view_beats_tree_walk_10x_at_50k(self):
-        """The PR's acceptance gate, measured in-process (best of 5, the
-        three engine modes alternating round by round)."""
+        """The acceptance gate, measured in-process (best of 5, the three
+        engine modes alternating round by round)."""
         db, _ = gates_db(50_000)
         for label, query in (("eq", EQ_QUERY), ("range", RANGE_QUERY)):
             routed = run_query(db, query)

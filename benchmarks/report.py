@@ -27,9 +27,14 @@ EXPERIMENTS = {
     "bench_fig1_complex_objects": (
         "E1 — Figure 1: complex objects (Gate / Flip-Flop)",
         "Figure 1, §3",
-        "Construction, traversal, deep constraint checking and cascade "
-        "deletion all grow linearly with the number of subobjects "
-        "(compare the 10/50/200-subgate rows).",
+        "Traversal and cascade deletion grow linearly with the number of "
+        "subobjects (compare the 10/50/200-subgate rows).  Construction and "
+        "deep constraint checking grow close to quadratically: each wire's "
+        "`where` restriction evaluates `Wire.Pin1 in SubGates.Pins`, which "
+        "collects the pins of every subgate and scans them with one equality "
+        "test each, and a gate with n subgates has n wires, checked when each "
+        "is created and again by the deep check (95% of "
+        "deep_constraint_check[200] is that restriction).",
     ),
     "bench_fig2_interface_propagation": (
         "E2 — Figure 2: interface → implementation propagation",
@@ -92,10 +97,11 @@ EXPERIMENTS = {
     "bench_e8_version_selection": (
         "E8 — §6 ablation: version-selection policies",
         "§6",
-        "Top-down query selection scans all candidates (grows with the "
-        "version count); bottom-up default and environment selection "
-        "stay near-flat (the residual growth is the candidate-"
-        "eligibility scan).  Re-resolution adds an unbind+bind on top.",
+        "Top-down query selection evaluates its predicate over every candidate "
+        "and grows fastest with the version count (13× from 10 to 400 "
+        "versions); bottom-up default and environment selection grow more "
+        "slowly (6× and 5×), the growth being the candidate-eligibility scan.  "
+        "Re-resolution adds an unbind+bind on top.",
     ),
     "bench_e9_lock_inheritance": (
         "E9 — §6 ablation: lock inheritance and expansion locking",
@@ -109,18 +115,20 @@ EXPERIMENTS = {
     "bench_e10_consistency_overhead": (
         "E10 — ablation: consistency machinery on the update path",
         "§4.1",
-        "Adaptation tracking adds a bounded per-update cost that grows "
-        "with the inheritor fan-out (the records are per affected link); "
-        "a trigger adds a near-constant dispatch on top; event recording "
-        "is cheapest.  The update path without any machinery is the "
-        "baseline row.",
+        "Adaptation tracking adds a bounded per-update cost that grows with the "
+        "inheritor fan-out (the records are per affected link, ~0.6 µs each); a "
+        "trigger adds under 1 µs at fan-out 1 and disappears in the tracker's "
+        "noise at fan-out 50; event recording is cheapest.  The update path "
+        "without any machinery is the baseline row, and the worklist scan is "
+        "linear in the inheritors awaiting adaptation.",
     ),
     "bench_e11_persistence": (
         "E11 — ablation: persistence scale",
         "engine substrate",
-        "Dump and load are linear in the number of objects "
-        "(10/50/200-interface libraries); loaded databases preserve the "
-        "live value-inheritance read path (asserted).",
+        "Dump is linear in the number of objects (10/50/200-interface "
+        "libraries); load is linear on top of a constant ~1.5 ms, the fresh "
+        "target's schema load, which its timed region includes.  Loaded "
+        "databases preserve the live value-inheritance read path (asserted).",
     ),
     "bench_e12_query": (
         "E12 — ablation: query-language execution",
@@ -162,117 +170,108 @@ EXPERIMENTS = {
         "E15 — indexed query engine: value indexes vs. full scans",
         "§6 (selection queries over large extents)",
         "Selective equality is answered from the hash index in time "
-        "proportional to the matching bucket — flat across 10k/50k and "
-        "two orders of magnitude under the full scan at 50k (≥10× is the "
-        "acceptance floor).  Range + top-k bisects the sorted index and "
-        "heap-selects the tail: it grows with the span, not the extent, "
-        "and beats the scan well past the 5× floor.  The write-path tax "
+        "proportional to the matching bucket — flat across 10k/50k and about "
+        "70× under the full scan at 50k (≥10× is the acceptance floor).  Range "
+        "+ top-k bisects the sorted index and heap-selects the tail: it grows "
+        "with the span (1% of the extent here), not the whole extent, and beats "
+        "the scan by 6–7×, above the 5× floor.  The write-path tax "
         "(update_with_indexes) is a few microseconds per touched index — "
-        "event-driven maintenance, no rebuilds.",
+        "maintenance along the update's cone, no rebuilds.",
     ),
     "bench_e16_provenance": (
         "E16 — causal provenance: audit overhead on the Figure-2 workload",
         "observability layer (repro.obs.provenance)",
-        "With observe off the update_dark rows match E13's dark rows "
-        "within noise — the audit guards are one attribute load and a "
-        "branch.  With observe on, attaching the audit log adds ~70 ns "
-        "per reached inheritor over the PR-1 baseline (update_audit_off) "
-        "— the tap batches every (link, inheritor, depth) arrival into "
-        "one propagation.fanout record per update, one list append each "
-        "— plus a fixed ~1.5 µs per mutation (two ring appends) that "
-        "amortises with fan-out: ~10% total at the Figure-2 fan-out.  "
-        "explain_value is a pure interpretive walk (no observability "
-        "needed); cone reconstruction is linear in the ring.",
+        "With observe off the update_dark rows match E13's dark rows within "
+        "noise — the audit guards are one attribute load and a branch.  With "
+        "observe on, attaching the audit log adds about 1.1 µs per mutation "
+        "over the baseline (update_audit_off) and almost nothing per reached "
+        "inheritor (1.6 µs at fan-out 100): the batched propagation.fanout "
+        "record reuses the cone the maintainer already walked.  That is 13% at "
+        "the Figure-2 fan-out of 10 and 6% at 100.  explain_value is a pure "
+        "interpretive walk (no observability needed); cone reconstruction is "
+        "linear in the ring.",
     ),
     "bench_e17_lint": (
         "E17 — static analysis: lint cost vs. the failures it prevents",
         "static analyzer (repro.analysis)",
         "Linting a paper-sized schema — parse, model lowering, every "
-        "REP1xx–REP4xx rule — costs low milliseconds, far below one "
-        "failed load_schema round-trip plus debugging.  Re-linting an "
-        "already-compiled catalog skips the parse and is several times "
-        "cheaper, so post-migration re-checks are cheap.  Rule cost "
-        "grows near-linearly with declaration count (the graph rules "
-        "are Tarjan SCCs and per-edge scans, nothing quadratic).  The "
-        "differential verifier — build, synthesize, bind, probe every "
-        "member against the interpretive oracles — lands at about one "
-        "plain lint (the lint itself pays a build in its REP100 net), "
-        "cheap enough to gate CI on the *proof*, not just the claim.",
+        "REP1xx–REP4xx rule — costs about 2 ms, far below one failed "
+        "load_schema round-trip plus debugging.  Re-linting an already-compiled "
+        "catalog skips the parse and is about 3.5× cheaper, so post-migration "
+        "re-checks are cheap.  Rule cost grows near-linearly with declaration "
+        "count (the graph rules are Tarjan SCCs and per-edge scans, nothing "
+        "quadratic).  The differential verifier — build, synthesize, bind, "
+        "probe every member against the interpretive oracles — costs about 1.4 "
+        "plain lints (the lint itself pays a build in its REP100 net), cheap "
+        "enough to gate CI on the *proof*, not just the claim.",
     ),
     "bench_e18_observatory": (
         "E18 — the observatory's own tax: profiler and slow-log overhead",
         "perf observatory (repro.obs.bench/profiler/slowlog)",
-        "The zero-cost-when-disabled contract holds for the PR-6 "
-        "surfaces: with observability off, the slowlog guards are one "
-        "attribute load and a branch (update_slowlog_dark matches E13's "
-        "dark row within noise); attached-but-quiet adds two "
-        "perf_counter reads per measured propagation "
-        "(update_slowlog_quiet vs. update_slowlog_detached, equal within "
-        "noise here), and a zero-budget firing log pays one ring append "
-        "plus a counter per update on top.  The 1 kHz sampling "
-        "profiler's steady-state tax on the deep-chain read loop is "
-        "near zero by min/median (repro bench measures 1.08 vs 1.09 ms "
-        "min on the same batch) — the *mean* gap above is real but is "
-        "the sampling pauses themselves plus scheduler outliers on a "
-        "containerized runner (~1000 brief GIL handoffs per second land "
-        "in some rounds and not others); lower --hz proportionally "
-        "shrinks it.",
+        "The zero-cost-when-disabled contract holds for the slow log: with "
+        "observability off its guards are one attribute load and a branch "
+        "(update_slowlog_dark matches E13's dark row), attached-but-quiet adds "
+        "two perf_counter reads per measured propagation (about 0.1 µs over "
+        "update_slowlog_detached), and a zero-budget firing log pays its cone "
+        "diagnosis plus a counter per update on top.  The profiler row does not "
+        "price sampling: reads_profiled_1khz starts and stops the sampler "
+        "inside every timed call, and a 5 000-read batch (~0.7 ms) ends before "
+        "the first 1 ms sampling interval, so no sample lands in a timed call "
+        "and the ~120 µs gap to reads_unprofiled is the sampler thread's start "
+        "and stop.  The case's check runs the loop under one started sampler "
+        "until it lands a sample.",
     ),
     "bench_e19_storage": (
         "E19 — slotted storage engine: compiled slot programs vs. tree walk",
         "engine substrate (repro.core.slots / repro.expr.compile)",
-        "Attributes live in per-type column stores; predicates and "
-        "constraints compile once per (expression, type, schema epoch) "
-        "into generated batch scans that read slots positionally with "
-        "raw comparisons, falling back to the tree walk on any type "
-        "surprise.  At 50k objects the compiled unindexed equality and "
-        "range scans and the fused two-phase constraint sweep each beat "
-        "the tree-walking oracle by over the 10× acceptance floor "
-        "(measured ~11×/~12×/~18× on this run); the oracle rows grow "
-        "linearly with the extent while compiled rows keep a ~10× "
-        "smaller constant.  Equivalence — identical rows, violations "
-        "and error messages — is pinned by the hypothesis oracles in "
-        "tests/test_storage.py.",
+        "Attributes live in per-type column stores; predicates and constraints "
+        "compile once per (expression, type, schema epoch) into generated batch "
+        "scans that read slots positionally with raw comparisons, falling back "
+        "to the tree walk on any type surprise.  At 50k objects the compiled "
+        "unindexed equality and range scans and the fused two-phase constraint "
+        "sweep each beat the tree-walking oracle by over the 10× acceptance "
+        "floor (~15×/~15×/~19× on this run); the oracle rows grow linearly with "
+        "the extent while compiled rows keep a ~15× smaller constant.  "
+        "Equivalence — identical rows, violations and error messages — is "
+        "pinned by the hypothesis oracles in tests/test_storage.py.",
     ),
     "bench_e20_views": (
         "E20 — materialized inherited-relation views: flattened per-type extents",
         "§4.2 permeability as Litwin's stored-and-inherited relations",
-        "Inherited attributes flatten into per-type view columns aligned "
-        "with the storage rows, so the generated view scan reads them "
-        "with the same positional index as stored slots — no per-object "
-        "resolution, no hashing.  At 50k implementations the unindexed "
-        "inherited equality and range scans beat the tree-walk oracle by "
-        "~12× each (≥7× is the in-test floor) and the PR-7 live-compiled "
-        "path — whose inherited reads still resolve per object — by "
-        "~3-4×.  The write side is priced by the maintenance rows: a "
-        "transmitter update refreshes its fan-out's view cells off the "
-        "event stream at ~1.5-2 µs per cell, so the per-write tax scales "
-        "with the fan-out (~3-4 µs at fan-out 1, ~80 µs at fan-out 50) — "
-        "the classic materialized-view trade, profitable when reads "
-        "outnumber transmitter writes.  Equivalence against "
-        "run_query(views=False) — rows, order, errors — is pinned by the "
-        "hypothesis oracle in tests/test_views.py.",
+        "Inherited attributes flatten into per-type view columns aligned with "
+        "the storage rows, so the generated view scan reads them with the same "
+        "positional index as stored slots — no per-object resolution, no "
+        "hashing.  At 50k implementations the unindexed inherited equality and "
+        "range scans beat the tree-walk oracle by ~16× each (≥7× is the in-test "
+        "floor) and the compiled live path (views=False) — whose inherited "
+        "reads still resolve per object — by ~4×.  The write side is priced by "
+        "the write rounds: a transmitter update refreshes its fan-out's view "
+        "cells along its propagation cone at ~0.7 µs per cell, so the "
+        "per-write tax scales with the fan-out (~2 µs at fan-out 1, ~34 µs at "
+        "fan-out 50) — the "
+        "classic materialized-view trade, profitable when reads outnumber "
+        "transmitter writes.  Equivalence against run_query(views=False) — "
+        "rows, order, errors — is pinned by the hypothesis oracle in "
+        "tests/test_views.py.",
     ),
     "bench_e21_contention": (
         "E21 — flight-recorder tax and the contention observatory",
         "service-tier observability (repro.obs.recorder / repro.txn.locks)",
         "The flight recorder is pull-based — one tick walks the registry, "
-        "summarises histogram percentiles and appends to the ring in "
-        "~13 µs, the price the sampling thread pays per interval, while "
-        "the engine's update path costs the same with an empty and a "
-        "capacity-full ring (update_recorder_idle vs. "
-        "update_recorder_full_ring; the pytest variant pins them within "
-        "a 3× min-of-7 noise bound and update_dark is the "
-        "observability-off floor, ~4-5× cheaper than carrying metrics "
-        "at all).  contended_grant prices one full blocking-lock round — "
-        "K reader threads park behind an exclusive holder, waits-for "
-        "edges register, the holder releases, every waiter is granted "
-        "and the wait histogram absorbs K observations — at "
-        "thread-lifecycle cost (~2.7 ms for K=4), with the uncontended "
-        "acquire held at parity with the non-blocking seed "
-        "(locked_read_plain in E9).  The pytest variant additionally "
-        "walks the lock-wait-p95 health rule through ok → degraded → ok "
-        "around the contention burst, pinning the windowed-delta "
+        "summarises histogram percentiles and appends to the ring in ~10 µs, "
+        "the price the sampling thread pays per interval, while the engine's "
+        "update path costs the same with an empty and a capacity-full ring "
+        "(update_recorder_idle vs. update_recorder_full_ring; an acceptance "
+        "test pins them within a 3× min-of-7 noise bound, the two sides timed "
+        "alternately) and update_dark is the observability-off floor, ~3.5× "
+        "cheaper than carrying metrics at all.  contended_grant prices one full "
+        "blocking-lock round — K reader threads park behind an exclusive "
+        "holder, waits-for edges register, the holder releases, every waiter is "
+        "granted and the wait histogram absorbs K observations — at "
+        "thread-lifecycle cost (~2.7 ms for K=4), with the uncontended acquire "
+        "held at parity with the non-blocking seed (locked_read_plain in E9).  "
+        "An acceptance test walks the lock-wait-p95 health rule through ok → "
+        "degraded → ok around the contention burst, pinning the windowed-delta "
         "semantics of repro.obs.health end to end.",
     ),
     "bench_e22_sanitizer": (
@@ -289,7 +288,7 @@ EXPERIMENTS = {
         "(few shadow accesses per update at this workload's shape) while "
         "the lock table — the chattiest site, with a state write, an HB "
         "publish/join and a stack capture on every grant and release — "
-        "pays ~20× per uncontended round-trip, the honest price of "
+        "pays ~16× per uncontended round-trip, the honest price of "
         "exactness; a contended round is dominated by thread lifecycle "
         "and parks, so sanitizing it costs only ~10%.  The acceptance "
         "tests pin the contract the numbers rest on: enable→disable "
@@ -324,14 +323,14 @@ described under each table are the reproduction targets.
 
 | Exp | Paper artefact | Scenario | Status |
 |-----|----------------|----------|--------|
-| E1 | Figure 1 | Gate/Flip-Flop complex objects | reproduced (structure pinned by tests, costs linear) |
+| E1 | Figure 1 | Gate/Flip-Flop complex objects | reproduced (structure pinned by tests; traversal and deletion linear, wire checks quadratic) |
 | E2 | Figure 2 | interface ↔ implementations | reproduced (O(1) propagation vs. O(N) copy fan-out) |
 | E3 | Figure 3 | component relationship | reproduced (size-independent incorporation) |
 | E4 | Figure 4 | both roles + expansion | reproduced (expansion tracks materialised objects) |
 | E5 | Figure 5 / §5 | steel construction | reproduced (constraints evaluate, violations detected) |
 | E6 | §2 argument | copy vs. view vs. inheritance | reproduced (trade-offs as argued) |
 | E7 | §4.2 argument | permeability / hierarchy depth | reproduced (materialising cache: negative result) |
-| E8 | §6 versions | three selection policies | reproduced (query O(N), default/environment flat) |
+| E8 | §6 versions | three selection policies | reproduced (query grows fastest, default/environment slower) |
 | E9 | §6 transactions | lock inheritance | reproduced (bounded overhead, conflicts caught) |
 | E10 | §4.1 consistency | adaptation/trigger overhead | measured (bounded per-update cost) |
 | E11 | engine substrate | persistence scale | measured (linear, inheritance live after reload) |
@@ -339,13 +338,13 @@ described under each table are the reproduction targets.
 | E13 | instrumentation layer | observability overhead | measured (near-zero off, bounded on) |
 | E14 | §4.1 member resolution | compiled plans + epoch memo | measured (O(1) steady-state reads, ≥3× vs. interpretive) |
 | E15 | §6 selection queries | attribute/type indexes + planner | measured (≥10× selective equality, ≥5× range+top-k at 50k) |
-| E16 | observability layer | causal provenance / audit overhead | measured (~10% audit tax at Figure-2 fan-out, dark path unchanged) |
-| E17 | static analyzer | lint cost vs. prevented failures | measured (ms-scale lint, near-linear scaling, verify ≈ one lint) |
-| E18 | perf observatory | profiler + slow-log overhead | measured (≈0 disabled; profiler tax ≈0 by min/median on deep-chain reads) |
+| E16 | observability layer | causal provenance / audit overhead | measured (~13% audit tax at Figure-2 fan-out, dark path unchanged) |
+| E17 | static analyzer | lint cost vs. prevented failures | measured (ms-scale lint, near-linear scaling, verify ≈ 1.4 lints) |
+| E18 | perf observatory | profiler + slow-log overhead | measured (slow log ≈0 when disabled; the profiler row prices start/stop, not sampling) |
 | E19 | engine substrate | slotted storage + compiled scans | measured (≥10× eq/range scans and constraint sweep at 50k vs. tree walk) |
-| E20 | §4.2 permeability (Litwin SIRs) | materialized per-type views | measured (~12× inherited-eq scan at 50k vs. tree walk, maintenance priced) |
-| E21 | service-tier observability | flight recorder + contention observatory | measured (tick ~13 µs, update parity empty vs. full ring, contended grants + health walk) |
-| E22 | concurrency correctness | race-sanitizer overhead, zero-cost dark path | measured (dark hot path held by the trajectory, a few % sanitized updates, ~20× sanitized lock round-trips) |
+| E20 | §4.2 permeability (Litwin SIRs) | materialized per-type views | measured (~16× inherited-eq scan at 50k vs. tree walk, maintenance priced) |
+| E21 | service-tier observability | flight recorder + contention observatory | measured (tick ~10 µs, update parity empty vs. full ring, contended grants + health walk) |
+| E22 | concurrency correctness | race-sanitizer overhead, zero-cost dark path | measured (dark hot path held by the trajectory, a few % sanitized updates, ~16× sanitized lock round-trips) |
 
 The harness (`src/repro/obs/bench.py`) checks every case's answer before
 timing it; every run emits a `BENCH_<seq>.json` snapshot (`repro.bench/1`)
