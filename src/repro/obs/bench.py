@@ -91,7 +91,7 @@ _SNAPSHOT_RE = re.compile(r"^BENCH_(\d{4,})\.json$")
 
 
 class CaseError(Exception):
-    """A case could not be built: its factory (or its answer check) raised."""
+    """A case could not be built: its factory, answer check or first call raised."""
 
 
 @dataclass
