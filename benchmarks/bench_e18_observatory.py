@@ -5,11 +5,11 @@ be zero-cost when disabled and cheap when enabled but quiet.  E18 prices
 the two new surfaces:
 
 * **sampling profiler** — E14's deep-chain reads (depth 8) with and
-  without a 1 kHz :class:`~repro.obs.profiler.SamplingProfiler` attached.
-  Sampling happens on a background thread; the profiled thread pays only
-  ~1000 brief GIL handoffs per second, so the min/median tax target is
-  near zero on a read-dominated loop (the mean absorbs the sampling
-  pauses themselves, which is environment-dependent);
+  without a 1 kHz :class:`~repro.obs.profiler.SamplingProfiler` started
+  and stopped around each timed batch.  A batch ends before the first
+  1 ms sampling interval, so no sample lands in a timed call: the gap
+  between the two rows is the sampler thread's start and stop, not the
+  sampling tax;
 * **slow-operation log** — the Figure-2 update workload in four regimes:
   observability off (``slowlog_dark``, the one-load-one-branch floor),
   observability on with the slow log detached (``slowlog_detached``),
@@ -17,10 +17,6 @@ the two new surfaces:
   measured propagation, nothing recorded), and attached with a zero
   budget (``slowlog_firing``: every update builds its cone diagnosis and
   is counted; with the audit log off, as here, no record is kept).
-
-Reads are batched (``BATCH`` per timed call) so the profiler's
-start/stop thread lifecycle — paid once per timed call — is amortised
-below the effect being measured.
 """
 
 import time
@@ -81,13 +77,13 @@ def register(suite):
 
     @suite.case(f"reads_profiled_1khz[{batch}]")
     def profiled_case():
-        """Same loop with the 1 kHz sampler on: the GIL-handoff tax."""
+        """Same loop inside one start and stop of the 1 kHz sampler."""
         run = deep_read_batch("E18HP", batch)
         profiler = SamplingProfiler(interval=0.001)
 
         def timed():
-            # Start/stop inside the measurement: ~0.2ms of thread
-            # lifecycle amortised over the batch of reads.
+            # Start/stop inside the measurement: the batch ends before
+            # the first sampling interval, so this prices the lifecycle.
             with profiler:
                 run()
 

@@ -77,25 +77,24 @@ class TestDarkPathParity:
     def test_dark_cost_unchanged_by_past_enablement(self):
         """Enable→disable must leave the hot path at its original cost.
 
-        A database built before the sandbox and one built after it are
-        timed alternately, min-of-7, with a generous 3x bound: this
-        guards against the sanitizer leaving patched code or live guards
-        behind, not against scheduler noise.
+        Min-of-7 before the sandbox and after it, with a generous 3x
+        bound: this guards against the sanitizer leaving patched code or
+        live guards behind, not against scheduler noise.  The two sides
+        cannot alternate: everything the sandbox installs is
+        process-global, so a leftover would slow both alike.
         """
         if race.active() is not None:
             return  # REPRO_TSAN session: there is no dark path to price
         _db, iface = _workload_db("e22-before")
+        [before] = alternating_best(
+            [_update_batch(iface, iter(range(10**9)))], rounds=7
+        )
         with race.sandbox():
             _db2, iface2 = _workload_db("e22-during")
             _update_batch(iface2, iter(range(10**9)))()
-        assert race.active() is None  # the guard went dark again
         _db3, iface3 = _workload_db("e22-after")
-        before, after = alternating_best(
-            [
-                _update_batch(iface, iter(range(10**9))),
-                _update_batch(iface3, iter(range(10**9))),
-            ],
-            rounds=7,
+        [after] = alternating_best(
+            [_update_batch(iface3, iter(range(10**9)))], rounds=7
         )
         assert after < before * 3.0 + 1e-4
 

@@ -2,8 +2,10 @@
 
 Regenerates the Figure 1 scenario at scale: building Gate objects with N
 elementary subgates (pins + wiring), deep traversal, deep constraint
-checking and cascade deletion.  Expected shape: all four operations grow
-linearly in the number of subobjects.
+checking and cascade deletion.  Expected shape: traversal and deletion
+grow linearly in the number of subobjects; construction and the deep
+check grow close to quadratically, because each wire's ``where``
+restriction scans the pins of every subgate.
 """
 
 from repro.engine.query import walk_tree

@@ -33,8 +33,8 @@ EXPERIMENTS = {
         "`where` restriction evaluates `Wire.Pin1 in SubGates.Pins`, which "
         "collects the pins of every subgate and scans them with one equality "
         "test each, and a gate with n subgates has n wires, checked when each "
-        "is created and again by the deep check (95% of "
-        "deep_constraint_check[200] is that restriction).",
+        "is created and again by the deep check (a profile of "
+        "deep_constraint_check[200] put 95% of its time in that restriction).",
     ),
     "bench_fig2_interface_propagation": (
         "E2 — Figure 2: interface → implementation propagation",
@@ -87,8 +87,8 @@ EXPERIMENTS = {
         "epoch compares and reads one column index (E14).  Root updates "
         "stay O(1) at every depth.  Negative result: a materialising "
         "inherited-value cache, the §2 copy alternative, lost on both "
-        "sides and was deleted.  A warm read through it took 674 ns "
-        "against 177 ns through the memo at depth 8, and a root update "
+        "sides and was deleted.  When it was deleted, a warm read through it "
+        "took 674 ns against 177 ns through the memo at depth 8, and a root update "
         "plus re-read 4.7–5.1 µs against 1.0–1.2 µs for the update "
         "alone: validating an entry (three epoch compares, a "
         "(surrogate, member) tuple key and a dict probe) costs more than "
@@ -99,8 +99,9 @@ EXPERIMENTS = {
         "§6",
         "Top-down query selection evaluates its predicate over every candidate "
         "and grows fastest with the version count (13× from 10 to 400 "
-        "versions); bottom-up default and environment selection grow more "
-        "slowly (6× and 5×), the growth being the candidate-eligibility scan.  "
+        "versions in BENCH_0006); bottom-up default and environment selection "
+        "grow more slowly (6× and 5×), the growth being the "
+        "candidate-eligibility scan.  "
         "Re-resolution adds an unbind+bind on top.",
     ),
     "bench_e9_lock_inheritance": (
@@ -116,9 +117,10 @@ EXPERIMENTS = {
         "E10 — ablation: consistency machinery on the update path",
         "§4.1",
         "Adaptation tracking adds a bounded per-update cost that grows with the "
-        "inheritor fan-out (the records are per affected link, ~0.6 µs each); a "
-        "trigger adds under 1 µs at fan-out 1 and disappears in the tracker's "
-        "noise at fan-out 50; event recording is cheapest.  The update path "
+        "inheritor fan-out (the records are per affected link, ~0.6 µs each in "
+        "BENCH_0006); a trigger adds under 1 µs at fan-out 1 and disappears in "
+        "the tracker's noise at fan-out 50; event recording is cheapest.  The "
+        "update path "
         "without any machinery is the baseline row, and the worklist scan is "
         "linear in the inheritors awaiting adaptation.",
     ),
@@ -126,7 +128,8 @@ EXPERIMENTS = {
         "E11 — ablation: persistence scale",
         "engine substrate",
         "Dump is linear in the number of objects (10/50/200-interface "
-        "libraries); load is linear on top of a constant ~1.5 ms, the fresh "
+        "libraries); load is linear on top of a constant (~1.5 ms in "
+        "BENCH_0006), the fresh "
         "target's schema load, which its timed region includes.  Loaded "
         "databases preserve the live value-inheritance read path (asserted).",
     ),
@@ -158,8 +161,8 @@ EXPERIMENTS = {
         "depth ≥ 8.  The cold compiled walk (plan_walk_cold) is linear "
         "with a cheaper per-hop constant than the interpretive re-scan.  "
         "Negative result: an epoch-validated inherited-value cache on top "
-        "of the memo was O(1) too but slower (warm read 663 ns against "
-        "233 ns for plan_read at depth 8; update then re-read "
+        "of the memo was O(1) too but slower (when it was deleted, warm read "
+        "663 ns against 233 ns for plan_read at depth 8; update then re-read "
         "4.8–5.2 µs), since validating three epochs plus a tuple key and "
         "a dict probe costs more than the memo's two compares and a "
         "column index; it was deleted.  Plan compilation is a one-off "
@@ -171,7 +174,8 @@ EXPERIMENTS = {
         "§6 (selection queries over large extents)",
         "Selective equality is answered from the hash index in time "
         "proportional to the matching bucket — flat across 10k/50k and about "
-        "70× under the full scan at 50k (≥10× is the acceptance floor).  Range "
+        "70× under the full scan at 50k in BENCH_0006 (≥10× is the acceptance "
+        "floor).  Range "
         "+ top-k bisects the sorted index and heap-selects the tail: it grows "
         "with the span (1% of the extent here), not the whole extent, and beats "
         "the scan by 6–7×, above the 5× floor.  The write-path tax "
@@ -184,8 +188,9 @@ EXPERIMENTS = {
         "With observe off the update_dark rows match E13's dark rows within "
         "noise — the audit guards are one attribute load and a branch.  With "
         "observe on, attaching the audit log adds about 1.1 µs per mutation "
-        "over the baseline (update_audit_off) and almost nothing per reached "
-        "inheritor (1.6 µs at fan-out 100): the batched propagation.fanout "
+        "over the baseline (update_audit_off) in BENCH_0006 and almost nothing "
+        "per reached inheritor (1.6 µs at fan-out 100): the batched "
+        "propagation.fanout "
         "record reuses the cone the maintainer already walked.  That is 13% at "
         "the Figure-2 fan-out of 10 and 6% at 100.  explain_value is a pure "
         "interpretive walk (no observability needed); cone reconstruction is "
@@ -195,7 +200,7 @@ EXPERIMENTS = {
         "E17 — static analysis: lint cost vs. the failures it prevents",
         "static analyzer (repro.analysis)",
         "Linting a paper-sized schema — parse, model lowering, every "
-        "REP1xx–REP4xx rule — costs about 2 ms, far below one failed "
+        "REP1xx–REP4xx rule — costs about 2 ms in BENCH_0006, far below one failed "
         "load_schema round-trip plus debugging.  Re-linting an already-compiled "
         "catalog skips the parse and is about 3.5× cheaper, so post-migration "
         "re-checks are cheap.  Rule cost grows near-linearly with declaration "
@@ -211,8 +216,9 @@ EXPERIMENTS = {
         "The zero-cost-when-disabled contract holds for the slow log: with "
         "observability off its guards are one attribute load and a branch "
         "(update_slowlog_dark matches E13's dark row), attached-but-quiet adds "
-        "two perf_counter reads per measured propagation (about 0.1 µs over "
-        "update_slowlog_detached), and a zero-budget firing log pays its cone "
+        "two perf_counter reads per measured propagation (about 0.2 µs over "
+        "update_slowlog_detached in BENCH_0006), and a zero-budget firing log "
+        "pays its cone "
         "diagnosis plus a counter per update on top.  The profiler row does not "
         "price sampling: reads_profiled_1khz starts and stops the sampler "
         "inside every timed call, and a 5 000-read batch (~0.7 ms) ends before "
@@ -230,7 +236,7 @@ EXPERIMENTS = {
         "to the tree walk on any type surprise.  At 50k objects the compiled "
         "unindexed equality and range scans and the fused two-phase constraint "
         "sweep each beat the tree-walking oracle by over the 10× acceptance "
-        "floor (~15×/~15×/~19× on this run); the oracle rows grow linearly with "
+        "floor (~15×/~15×/~19× in BENCH_0006); the oracle rows grow linearly with "
         "the extent while compiled rows keep a ~15× smaller constant.  "
         "Equivalence — identical rows, violations and error messages — is "
         "pinned by the hypothesis oracles in tests/test_storage.py.",
@@ -242,7 +248,8 @@ EXPERIMENTS = {
         "the storage rows, so the generated view scan reads them with the same "
         "positional index as stored slots — no per-object resolution, no "
         "hashing.  At 50k implementations the unindexed inherited equality and "
-        "range scans beat the tree-walk oracle by ~16× each (≥7× is the in-test "
+        "range scans beat the tree-walk oracle by ~16× each in BENCH_0006 (≥7× "
+        "is the in-test "
         "floor) and the compiled live path (views=False) — whose inherited "
         "reads still resolve per object — by ~4×.  The write side is priced by "
         "the write rounds: a transmitter update refreshes its fan-out's view "
@@ -258,7 +265,8 @@ EXPERIMENTS = {
         "E21 — flight-recorder tax and the contention observatory",
         "service-tier observability (repro.obs.recorder / repro.txn.locks)",
         "The flight recorder is pull-based — one tick walks the registry, "
-        "summarises histogram percentiles and appends to the ring in ~10 µs, "
+        "summarises histogram percentiles and appends to the ring in ~10 µs "
+        "(BENCH_0006), "
         "the price the sampling thread pays per interval, while the engine's "
         "update path costs the same with an empty and a capacity-full ring "
         "(update_recorder_idle vs. update_recorder_full_ring; an acceptance "
@@ -288,7 +296,7 @@ EXPERIMENTS = {
         "(few shadow accesses per update at this workload's shape) while "
         "the lock table — the chattiest site, with a state write, an HB "
         "publish/join and a stack capture on every grant and release — "
-        "pays ~16× per uncontended round-trip, the honest price of "
+        "pays ~16× per uncontended round-trip in BENCH_0006, the honest price of "
         "exactness; a contended round is dominated by thread lifecycle "
         "and parks, so sanitizing it costs only ~10%.  The acceptance "
         "tests pin the contract the numbers rest on: enable→disable "
@@ -319,7 +327,11 @@ The tables are rendered from one committed full-mode snapshot:
 Each row gives the case's min and median per call over `repeats`
 measurements of `number` calls each (a `setup` case times one call per
 measurement).  Absolute numbers will vary by machine; the **shapes**
-described under each table are the reproduction targets.
+described under each table are the reproduction targets.  The figures
+quoted in the status column and the shape texts were read from
+`BENCH_0006.json` unless a text says otherwise; the tables come from the
+snapshot named under this table, and where the two differ the tables are
+current.
 
 | Exp | Paper artefact | Scenario | Status |
 |-----|----------------|----------|--------|

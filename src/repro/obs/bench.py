@@ -17,8 +17,8 @@ only thing that times them:
   returning the thunk, and the harness makes one more untimed call; a
   factory, check or first call that raises stops the run with
   :class:`CaseError` before the case is timed, so a wrong answer is never
-  measured.  ``pytest benchmarks`` builds every quick case the same way
-  (``benchmarks/conftest.py``).
+  measured.  ``pytest benchmarks`` builds every case of both modes the
+  same way (``benchmarks/conftest.py``).
 
 * **Versioned in-repo snapshots.**  :func:`write_snapshot` emits
   ``BENCH_<seq>.json`` (``repro.bench/1`` schema) at the repo root with a

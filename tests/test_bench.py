@@ -489,7 +489,7 @@ class TestConfirmRegressions:
             comparison, suites, runner, slow, rounds=3, progress=progress.append
         )
         assert compare_snapshots(prior, make_snapshot(confirmed, seq=2)).ok
-        assert len(progress) == 1  # cleared by the first fresh process
+        assert 1 <= len(progress) <= 3  # one line per fresh-process re-measure
 
     def test_ok_comparison_is_untouched(self):
         results = [result_of()]
