@@ -6,11 +6,17 @@ A parts library at 10k/50k objects, three access patterns:
 * range + top-k (``Serial >= high-water order by Serial desc limit 10``);
 * the same queries forced through the full scan (``indexes.auto = False``)
   as the baseline the planner must beat;
-* the maintenance tax: one attribute update with value indexes attached.
+* the maintenance tax: one attribute update with value indexes attached;
+* the query path's fixed costs: an equality whose text the parse and
+  program caches have never seen (``eq_fresh_text``: each call parses,
+  binds its constant into the shape's program and probes the index), and
+  a two-sided range probed as one interval (``range_interval_indexed``).
 
 The acceptance shape: at 50k the indexed equality beats the scan by ≥10×
 and the indexed range+top-k by ≥5×; updates stay O(indexes touched).
 """
+
+import itertools
 
 from repro.core.domains import ANY
 from repro.engine import Database
@@ -59,6 +65,16 @@ def run_with(db, text, auto):
 
 EQ_QUERY = "select * from Parts where Category = 'cat_3'"
 
+#: Width of the two-sided range: 50 parts, whatever the extent.
+SPAN = 50
+
+
+def interval_query(n):
+    return (
+        f"select Serial from Parts where Serial >= {n // 2} "
+        f"and Serial < {n // 2 + SPAN}"
+    )
+
 
 def top_query(n):
     return (
@@ -89,6 +105,40 @@ def register(suite):
                     if auto:
                         assert result.plan.order == "top-10 heap desc"
                 return lambda: run_with(db, text, auto)
+
+        @suite.case(f"eq_fresh_text[{n}]")
+        def fresh_case(n=n):
+            """Each call's constant is new to the parse cache (256 texts):
+            the serials cycle through all n parts."""
+            db = parts_db(n)
+            serials = itertools.cycle(range(n))
+
+            def run():
+                serial = next(serials)
+                result = db.query(f"select * from Parts where Serial = {serial}")
+                return serial, result
+
+            parts = db.class_("Parts").members()
+            for _ in range(3):
+                serial, result = run()
+                assert result.plan.access_path == "index-eq"
+                assert result.objects == [
+                    part for part in parts if part.get_member("Serial") == serial
+                ]
+            return run
+
+        @suite.case(f"range_interval_indexed[{n}]")
+        def interval_case(n=n):
+            db = parts_db(n)
+            text = interval_query(n)
+            result = db.query(text)
+            assert result.plan.access_path == "index-range"
+            # Both bounds are probed: the candidates are the span itself.
+            assert result.plan.candidates == SPAN
+            assert result.scalars() == [
+                i for i in range(n) if n // 2 <= i < n // 2 + SPAN
+            ]
+            return lambda: db.query(text)
 
         @suite.case(f"update_with_indexes[{n}]")
         def update_case(n=n):

@@ -6,10 +6,12 @@ the two new surfaces:
 
 * **sampling profiler** — E14's deep-chain reads (depth 8) with and
   without a 1 kHz :class:`~repro.obs.profiler.SamplingProfiler` started
-  and stopped around each timed batch.  A batch ends before the first
-  1 ms sampling interval, so no sample lands in a timed call: the gap
-  between the two rows is the sampler thread's start and stop, not the
-  sampling tax;
+  and stopped around each timed call.  A ``reads_profiled_1khz`` batch
+  ends before the first 1 ms sampling interval, so no sample lands in it:
+  that row prices the sampler thread's start and stop.
+  ``reads_sampled_1khz`` times about 14 sampling intervals of reads under
+  one start and stop, so samples land in every call and the row prices
+  sampling itself (compare it per read with ``reads_unprofiled``);
 * **slow-operation log** — the Figure-2 update workload in four regimes:
   observability off (``slowlog_dark``, the one-load-one-branch floor),
   observability on with the slow log detached (``slowlog_detached``),
@@ -19,6 +21,7 @@ the two new surfaces:
   is counted; with the audit log off, as here, no record is kept).
 """
 
+import threading
 import time
 
 from repro.obs.profiler import SamplingProfiler
@@ -28,6 +31,9 @@ from benchmarks.bench_e14_resolution import build_chain
 
 BATCH = 5_000
 FANOUT = 10
+#: Reads per ``reads_sampled_1khz`` call: about 14 ms here, so the 1 kHz
+#: sampler lands samples in every call.
+SAMPLED_READS = 100_000
 
 
 def deep_read_batch(prefix, batch=BATCH):
@@ -95,6 +101,31 @@ def register(suite):
             while profiler.samples == 0 and time.perf_counter() < deadline:
                 run()
         assert profiler.samples > 0
+        return timed
+
+    @suite.case(f"reads_sampled_1khz[{SAMPLED_READS}]")
+    def sampled_case():
+        """``SAMPLED_READS`` reads inside one start and stop of the 1 kHz
+        sampler: the call spans many sampling intervals, so samples land
+        in it and the start and stop is a small part of its cost."""
+        run = deep_read_batch("E18HS", SAMPLED_READS)
+        profiler = SamplingProfiler(interval=0.001)
+
+        def timed():
+            with profiler:
+                run()
+
+        landed = []
+        for _ in range(5):
+            before = profiler.samples
+            timed()
+            landed.append(profiler.samples - before)
+            if landed[-1]:
+                break
+        assert landed[-1] > 0, f"no sample landed in a timed call: {landed}"
+        assert not any(
+            thread.name == "repro-profiler" for thread in threading.enumerate()
+        ), "a sampler thread outlived its timed call"
         return timed
 
     @suite.case("update_slowlog_dark")

@@ -21,6 +21,12 @@ The **maintenance tax** cases price the write side: transmitter updates
 at fan-out 50 (one write refreshes 50 view rows) vs fan-out 1, against
 the same writes with no view built.
 
+The **polymorphic** case queries a type source holding two concrete
+types — implementations and the uses that inherit from them — on
+inherited members, the way a designer picks from an implementation
+library.  Each type's candidates run through that type's view, and the
+matches merge back in source order.
+
 The acceptance shape: at 50k objects the view scans beat the tree-walk
 oracle by ~16× in BENCH_0006 (≥7× asserted in-test for noise headroom)
 and the live-compiled engine by ~4×.  Value indexes are off throughout: sub-linear access-path
@@ -85,6 +91,44 @@ def build_gates_db(n, fan_out):
     return db, interfaces
 
 
+POLY_QUERY = "select * from Impl where Length + Width > 90"
+
+
+def poly_db(n):
+    """A cached type source of n/2 implementations and n/2 uses, created
+    interleaved; each use inherits Length/Width through an implementation
+    from one of 97 interfaces (~8% selectivity); no value indexes."""
+    key = ("poly", n)
+    if key not in _cache:
+        db = Database(f"e20-poly-{n}")
+        db.indexes.auto = False
+        iface = db.catalog.define_object_type(
+            "Iface", attributes={"Length": ANY, "Width": ANY}
+        )
+        all_of = db.catalog.define_inheritance_type(
+            "AllOf_Iface", iface, ["Length", "Width"]
+        )
+        impl = db.catalog.define_object_type("Impl", attributes={"Serial": ANY})
+        impl.declare_inheritor_in(all_of)
+        some_of = db.catalog.define_inheritance_type(
+            "SomeOf_Impl", impl, ["Length", "Width"]
+        )
+        use = db.catalog.define_object_type("Use", attributes={"Slot": ANY})
+        use.declare_inheritor_in(some_of)
+        interfaces = [
+            db.create_object(iface, Length=i, Width=i % 11) for i in range(97)
+        ]
+        impls = []
+        for i in range(n // 2):
+            impls.append(db.create_object(
+                impl, transmitter=interfaces[i % len(interfaces)], Serial=i
+            ))
+            db.create_object(use, transmitter=impls[i // 2], Slot=i)
+        run_query(db, POLY_QUERY)  # warm the views and the programs
+        _cache[key] = db
+    return _cache[key]
+
+
 def write_round(interfaces):
     for i, iface in enumerate(interfaces):
         iface.set_attribute("Length", (i + 1) % 97)
@@ -142,6 +186,22 @@ def register(suite):
                     assert len(result) == expected(n, FAN_OUT, predicate)
                     assert result.plan.access_path == access
                     return lambda: run_query(db, query, **options)
+
+    for n in [2_000] if suite.quick else [10_000]:
+
+        @suite.case(f"view_polymorphic[{n}]")
+        def poly_case(n=n):
+            db = poly_db(n)
+            result = run_query(db, POLY_QUERY)
+            assert result.plan.access_path == "view"
+            source = db.objects_of_type("Impl")
+            assert len({obj.object_type for obj in source}) == 2
+            expected = [
+                obj for obj in source
+                if obj.get_member("Length") + obj.get_member("Width") > 90
+            ]
+            assert expected and result.objects == expected
+            return lambda: run_query(db, POLY_QUERY)
 
     # The write-side price: one transmitter update refreshes fan-out view
     # rows, measured as a round of writes over every interface.

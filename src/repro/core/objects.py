@@ -359,8 +359,7 @@ class DBObject:
                 if obs is not None:
                     # One count per delegation hop: a read through a
                     # k-level interface hierarchy contributes k.
-                    obs.metrics.counter("reads.inherited").inc(hops)
-                    obs.metrics.counter("resolution.fast_hits").inc()
+                    obs.count_inherited_read(hops)
             column = memo[5]
             if column is not None:
                 # The steady-state read: one list index into the holder's
@@ -406,8 +405,7 @@ class DBObject:
                             # is not epoch-tracked, so don't memoise it.
                             obs = getattr(self.database, "obs", None)
                             if obs is not None:
-                                obs.metrics.counter("reads.inherited").inc(hops)
-                                obs.metrics.counter("resolution.fast_hits").inc()
+                                obs.count_inherited_read(hops)
                             return current.get_member(name)
                         if current._deleted:
                             raise ObjectDeletedError(f"{current!r} was deleted")
@@ -427,8 +425,7 @@ class DBObject:
                                     break
                     obs = getattr(self.database, "obs", None)
                     if obs is not None:
-                        obs.metrics.counter("reads.inherited").inc(hops)
-                        obs.metrics.counter("resolution.fast_hits").inc()
+                        obs.count_inherited_read(hops)
             # The resolution (not the value) is memoised: a chain of plain
             # objects ending at `current` stays valid until the schema or
             # this object's binding topology moves.  The holder's slot

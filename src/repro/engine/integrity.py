@@ -74,6 +74,10 @@ def check_integrity(db: Database) -> List[Violation]:
     objects = db.objects()
     tracked: Set[Surrogate] = {obj.surrogate for obj in objects}
 
+    #: id(transmitter) -> ids of the links it registers, collected once per
+    #: transmitter: a list membership test would compare every registered
+    #: link through ``DBObject.__eq__``, O(fan-out) per link.
+    registered: Dict[int, Set[int]] = {}
     for obj in objects:
         _check_registry(db, obj, violations)
         if obj.deleted:
@@ -83,7 +87,7 @@ def check_integrity(db: Database) -> List[Violation]:
         _check_containment(obj, tracked, violations)
         if isinstance(obj, RelationshipObject):
             _check_relationship(obj, violations)
-        _check_links(obj, violations)
+        _check_links(obj, violations, registered)
 
     _check_classes(db, tracked, violations)
     _check_containment_uniqueness(objects, violations)
@@ -301,11 +305,19 @@ def _check_relationship(rel: RelationshipObject, out: List[Violation]) -> None:
             )
 
 
-def _check_links(obj: DBObject, out: List[Violation]) -> None:
+def _check_links(
+    obj: DBObject, out: List[Violation], registered: Dict[int, Set[int]]
+) -> None:
     for link in obj.inheritance_links:
         if link.inheritor is not obj:
             out.append(Violation("inheritance", obj, "link inheritor mismatch"))
-        if link not in link.transmitter._links_as_transmitter:
+        transmitter = link.transmitter
+        links = registered.get(id(transmitter))
+        if links is None:
+            links = registered[id(transmitter)] = {
+                id(other) for other in transmitter._links_as_transmitter
+            }
+        if id(link) not in links:
             out.append(
                 Violation(
                     "inheritance",

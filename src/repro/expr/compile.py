@@ -5,8 +5,11 @@ The tree-walking ``Node.evaluate`` interpreter pays, per object, a fresh
 and a ``get_member`` protocol call per member access.  For an unindexed
 scan or a constraint sweep that cost dominates.
 
-This module compiles an expression **once per (expression, type, schema
-epoch)** into a plain Python function over live objects:
+This module compiles an expression **once per (shape, type, schema
+epoch)** into a plain Python function over live objects.  The *shape* is
+the AST with its literals lifted out as typed placeholders: queries that
+differ only in their constants share one program, generated as a factory
+over the literals, and each node binds its own values into it.
 
 * member names that the type's :class:`~repro.core.resolution.ResolutionPlan`
   binds to a plain stored attribute become a direct **slot read** —
@@ -17,7 +20,9 @@ epoch)** into a plain Python function over live objects:
   participant roles, or dynamic binding fall back to a tiny closure around
   the interpretive member protocol (still compiled, just not slot-fast);
 * aggregates and quantifiers evaluate their subtree with the ordinary
-  tree walk (they carry binder scopes the slot program cannot see);
+  tree walk (they carry binder scopes the slot program cannot see); the
+  subtree is a per-node binding, so its literals are always the node's
+  own;
 * operators are generated as source text and ``exec``-compiled, reusing
   the interpreter's own helpers (``truthy``/``_equal``/``_numeric``…) so
   MISSING propagation, string concatenation, division-by-zero errors and
@@ -30,10 +35,13 @@ Contract: compiled functions assume a *live* object of the compiled type
 exactly the shape of query predicates and type-anchored integrity
 constraints.  Binding-carrying evaluations keep using the interpreter.
 
-The cache is keyed by ``(id(node), id(type))`` (strong references retained)
-and validated against the schema epoch (``catalog.schema_epoch`` proxies
-the same counter): a DDL change drops every compiled program and the next
-use recompiles against the refreshed plan and store layout.
+Programs are cached by ``(shape, id(type))``, and a bounded cache keyed
+by ``(id(node), id(type))`` keeps each repeated node's bound program one
+dict probe away (strong references retained, so ids are never reused
+while keyed).  Both are validated against the schema epoch
+(``catalog.schema_epoch`` proxies the same counter): a DDL change drops
+every compiled program and the next use recompiles against the refreshed
+plan and store layout.
 
 :func:`compile_info` reports why an expression is not fully slot-compiled;
 the ``dynamic-name`` reason kind feeds the REP504 analyzer advisory.
@@ -162,6 +170,7 @@ _BASE_ENV: Dict[str, Any] = {
     "_div": _div,
     "_mod": _mod,
     "_neg": _neg,
+    "EvalContext": EvalContext,
 }
 
 _CMP_HELPER = {"<": "_lt", "<=": "_le", ">": "_gt", ">=": "_ge"}
@@ -236,8 +245,67 @@ class CompiledExpr:
         self.source = source
 
 
+# ---------------------------------------------------------------------------
+# Shapes: the AST with its literals lifted out.
+# ---------------------------------------------------------------------------
+
+#: Binary operators the codegen emits inline; any other operator hands the
+#: whole node to the tree walk.
+_INLINE_BINARY = frozenset(
+    ["and", "or", "=", "!=", "in", "not in", *_CMP_HELPER, *_ARITH_HELPER]
+)
+
+
+def _shape(node: Node, params: List[Any]) -> Tuple[Any, ...]:
+    """The shape key of ``node``; appends its per-node bindings to ``params``.
+
+    A shape is the AST with every :class:`Literal` replaced by a
+    placeholder tagged with the value's Python type (the codegen branches
+    on ``bool``).  Subtrees the codegen hands to the tree walk
+    (aggregates, quantifiers, unknown operators and node kinds) become a
+    placeholder too, and the subtree itself is the binding — so literals
+    inside them are always the node's own.  Bindings are appended in
+    pre-order, left to right, which is the order :class:`_Codegen`
+    consumes them in.
+    """
+    if isinstance(node, Literal):
+        params.append(node.value)
+        return ("k", type(node.value))
+    if isinstance(node, Name):
+        return ("n", node.identifier)
+    if isinstance(node, Path):
+        return ("p", _shape(node.base, params), node.segments)
+    if isinstance(node, Unary) and node.op in ("-", "not"):
+        return ("u", node.op, _shape(node.operand, params))
+    if isinstance(node, Binary) and node.op in _INLINE_BINARY:
+        left = _shape(node.left, params)
+        return ("b", node.op, left, _shape(node.right, params))
+    params.append(node)
+    if isinstance(node, Quantified):
+        return ("w", "quantifier", "quantifier evaluates interpretively")
+    if isinstance(node, Aggregate):
+        return (
+            "w", "aggregate",
+            f"aggregate {node.func}(…) carries binder scope; evaluates "
+            f"interpretively",
+            node.func == "exists",
+        )
+    if isinstance(node, Unary):
+        return ("w", "opaque", f"unknown unary operator {node.op!r}")
+    if isinstance(node, Binary):
+        return ("w", "opaque", f"unknown operator {node.op!r}")
+    return ("w", "opaque", f"unknown node {type(node).__name__} evaluates interpretively")
+
+
 class _Codegen:
-    """Generates the source of one (expression, type) program."""
+    """Generates the source of one (shape, type) program.
+
+    Per-node bindings (literal values, interpreted subtrees) are the
+    parameters ``k0, k1, …`` of the generated factory, numbered in the
+    order :func:`_shape` appended them; everything that depends only on
+    the type (slot columns, defaults, member fallbacks) lives in the
+    program's globals.
+    """
 
     def __init__(self, type_: Any, obs: Any = None) -> None:
         self.type = type_
@@ -246,6 +314,8 @@ class _Codegen:
         self.env: Dict[str, Any] = dict(_BASE_ENV)
         self.reasons: List[Tuple[str, str]] = []
         self._n = 0
+        #: Next factory parameter; reset before each emission pass.
+        self.param = 0
         #: When true, comparisons over never-MISSING operands emit the
         #: raw operator instead of the wrapping helper.  A raw compare can
         #: raise a naked TypeError, so this variant is only used inside
@@ -267,14 +337,10 @@ class _Codegen:
         self._n += 1
         return name
 
-    def _interp(self, node: Node, kind: str, detail: str) -> str:
-        """Whole-subtree fallback: evaluate with the tree walk."""
-        self.reasons.append((kind, detail))
-
-        def run(obj: Any, _node: Node = node) -> Any:
-            return _node.evaluate(EvalContext(obj))
-
-        return f"{self._const('w', run)}(obj)"
+    def _next_param(self) -> str:
+        name = f"k{self.param}"
+        self.param += 1
+        return name
 
     def _member_fallback(self, name: str) -> str:
         """Name accessor through the member protocol (= ctx.lookup)."""
@@ -289,37 +355,44 @@ class _Codegen:
 
         return f"{self._const('n', acc)}(obj)"
 
-    # -- node emitters -------------------------------------------------------
+    def emit_root(self, shape: Tuple[Any, ...]) -> Tuple[str, bool]:
+        """One emission pass over ``shape``: ``(predicate source, is_bool)``."""
+        self.param = 0
+        src, is_bool, _ = self.emit(shape)
+        return src, is_bool
+
+    # -- shape emitters --------------------------------------------------------
     # Each returns ``(source_expr, is_bool, can_be_missing)``.
 
-    def emit(self, node: Node) -> Tuple[str, bool, bool]:
-        if isinstance(node, Literal):
-            value = node.value
-            return self._const("k", value), isinstance(value, bool), False
-        if isinstance(node, Name):
-            return self._emit_name(node.identifier)
-        if isinstance(node, Path):
-            return self._emit_path(node)
-        if isinstance(node, Unary):
-            return self._emit_unary(node)
-        if isinstance(node, Binary):
-            return self._emit_binary(node)
-        if isinstance(node, Quantified):
-            src = self._interp(
-                node, "quantifier", f"quantifier {node.unparse()} evaluates interpretively"
+    def emit(self, shape: Tuple[Any, ...]) -> Tuple[str, bool, bool]:
+        tag = shape[0]
+        if tag == "k":
+            return self._next_param(), shape[1] is bool, False
+        if tag == "n":
+            return self._emit_name(shape[1])
+        if tag == "p":
+            base, _, _ = self.emit(shape[1])
+            segments = self._const("p", shape[2])
+            head = shape[1][1] if shape[1][0] == "n" else "(…)"
+            self.reasons.append(
+                ("path", f"path {'.'.join((head, *shape[2]))} traverses the "
+                         f"member protocol")
             )
+            return f"_path({base}, {segments})", False, True
+        if tag == "u":
+            src, is_bool, _ = self.emit(shape[2])
+            if shape[1] == "-":
+                return f"_neg({src})", False, False
+            inner = src if is_bool else f"truthy({src})"
+            return f"(not {inner})", True, False
+        if tag == "b":
+            return self._emit_binary(shape[1], shape[2], shape[3])
+        # "w": the subtree evaluates with the tree walk.
+        self.reasons.append((shape[1], shape[2]))
+        src = f"{self._next_param()}.evaluate(EvalContext(obj))"
+        if shape[1] == "quantifier":
             return src, True, False
-        if isinstance(node, Aggregate):
-            src = self._interp(
-                node,
-                "aggregate",
-                f"aggregate {node.func}(…) carries binder scope; evaluates interpretively",
-            )
-            return src, node.func == "exists", False
-        src = self._interp(
-            node, "opaque", f"unknown node {type(node).__name__} evaluates interpretively"
-        )
-        return src, False, False
+        return src, shape[1] == "aggregate" and shape[3], False
 
     def _emit_name(self, identifier: str) -> Tuple[str, bool, bool]:
         entry = self.plan.entries.get(identifier)
@@ -376,40 +449,15 @@ class _Codegen:
             )
         return self._member_fallback(identifier), False, False
 
-    def _emit_path(self, node: Path) -> Tuple[str, bool, bool]:
-        base, _, _ = self.emit(node.base)
-        segments = self._const("p", tuple(node.segments))
-        self.reasons.append(
-            ("path", f"path {node.unparse()} traverses the member protocol")
-        )
-        return f"_path({base}, {segments})", False, True
-
-    def _emit_unary(self, node: Unary) -> Tuple[str, bool, bool]:
-        if node.op == "-":
-            src, _, _ = self.emit(node.operand)
-            return f"_neg({src})", False, False
-        if node.op == "not":
-            src, is_bool, _ = self.emit(node.operand)
-            inner = src if is_bool else f"truthy({src})"
-            return f"(not {inner})", True, False
-        return (
-            self._interp(
-                node, "opaque", f"unknown unary operator {node.op!r}"
-            ),
-            False,
-            False,
-        )
-
-    def _emit_binary(self, node: Binary) -> Tuple[str, bool, bool]:
-        op = node.op
+    def _emit_binary(
+        self, op: str, left_shape: Tuple[Any, ...], right_shape: Tuple[Any, ...]
+    ) -> Tuple[str, bool, bool]:
+        left, lbool, lmiss = self.emit(left_shape)
+        right, rbool, rmiss = self.emit(right_shape)
         if op in ("and", "or"):
-            left, lbool, _ = self.emit(node.left)
-            right, rbool, _ = self.emit(node.right)
             lsrc = left if lbool else f"truthy({left})"
             rsrc = right if rbool else f"truthy({right})"
             return f"({lsrc} {op} {rsrc})", True, False
-        left, _, lmiss = self.emit(node.left)
-        right, _, rmiss = self.emit(node.right)
         if op == "=":
             if lmiss or rmiss:
                 return f"_equal({left}, {right})", True, False
@@ -427,31 +475,22 @@ class _Codegen:
             if self.fast_cmp and not lmiss and not rmiss:
                 return f"({left} {op} {right})", True, False
             return f"{helper}({left}, {right})", True, False
-        helper = _ARITH_HELPER.get(op)
-        if helper is not None:
-            return f"{helper}({left}, {right})", False, False
-        return (
-            self._interp(node, "opaque", f"unknown operator {op!r}"),
-            False,
-            False,
-        )
+        return f"{_ARITH_HELPER[op]}({left}, {right})", False, False
 
 
-def _build(node: Node, type_: Any, obs: Any = None) -> CompiledExpr:
-    gen = _Codegen(type_, obs)
-    expr, is_bool, _ = gen.emit(node)
-    pred = expr if is_bool else f"truthy({expr})"
-    info = CompileInfo(tuple(gen.reasons))
-    # Second emission for the batch scan: raw comparisons (fast_cmp).  The
-    # scan catches the naked TypeError they may raise and answers None —
-    # the caller then reruns per object through the wrapping helpers, so
-    # error behavior stays bit-for-bit the interpreter's.
-    gen.fast_cmp = True
-    fast, fast_bool, _ = gen.emit(node)
-    fast_pred = fast if fast_bool else f"truthy({fast})"
-    source = (
-        f"def _expr(obj):\n    row = obj._row\n    return {expr}\n"
-        f"def _pred(obj):\n    row = obj._row\n    return {pred}\n"
+def _factory_source(params: int, body: str) -> str:
+    """Wrap generated functions in a factory over the per-node bindings."""
+    args = ", ".join(f"k{i}" for i in range(params))
+    inner = "".join(f"    {line}\n" for line in body.splitlines())
+    return f"def _factory({args}):\n{inner}"
+
+
+def _scan_loop(fast_pred: str, bail: str) -> str:
+    """The generated batch filter loop shared by slot and view programs:
+    skips deleted objects, counts the rest, collects matches, and answers
+    None when it cannot finish (an object of another type, or an
+    exception of the ``bail`` kinds)."""
+    return (
         "def _scan(objs):\n"
         "    try:\n"
         "        total = len(objs)\n"
@@ -470,43 +509,126 @@ def _build(node: Node, type_: Any, obs: Any = None) -> CompiledExpr:
         "            row = obj._row\n"
         f"            if {fast_pred}:\n"
         "                append(obj)\n"
-        "    except TypeError:\n"
+        f"    except {bail}:\n"
         "        return None\n"
         "    return (total - dropped, matched)\n"
     )
+
+
+def _exec_factory(
+    gen: _Codegen, body: str, returns: str, filename: str
+) -> Tuple[Callable[..., Any], str]:
+    """Compile ``body`` as a factory over ``gen``'s parameters."""
+    source = _factory_source(gen.param, f"{body}return {returns}\n")
     env = gen.env
-    env["_scan_type"] = type_
-    exec(compile(source, f"<compiled:{type_.name}>", "exec"), env)
-    return CompiledExpr(env["_expr"], env["_pred"], env["_scan"], info, source)
+    env["_scan_type"] = gen.type
+    exec(compile(source, filename, "exec"), env)
+    return env["_factory"], source
+
+
+class _Program:
+    """One compiled (shape, type) program: a factory over per-node bindings."""
+
+    __slots__ = ("factory", "info", "source")
+
+    def __init__(
+        self, factory: Callable[..., Any], info: CompileInfo, source: str
+    ) -> None:
+        self.factory = factory
+        self.info = info
+        self.source = source
+
+    def bind(self, params: List[Any]) -> CompiledExpr:
+        expr, pred, scan = self.factory(*params)
+        return CompiledExpr(expr, pred, scan, self.info, self.source)
+
+
+def _build(shape: Tuple[Any, ...], type_: Any, obs: Any = None) -> _Program:
+    gen = _Codegen(type_, obs)
+    expr, is_bool = gen.emit_root(shape)
+    pred = expr if is_bool else f"truthy({expr})"
+    info = CompileInfo(tuple(gen.reasons))
+    # Second emission for the batch scan: raw comparisons (fast_cmp).  The
+    # scan catches the naked TypeError they may raise and answers None —
+    # the caller then reruns per object through the wrapping helpers, so
+    # error behavior stays bit-for-bit the interpreter's.
+    gen.fast_cmp = True
+    fast, fast_bool = gen.emit_root(shape)
+    fast_pred = fast if fast_bool else f"truthy({fast})"
+    body = (
+        f"def _expr(obj):\n    row = obj._row\n    return {expr}\n"
+        f"def _pred(obj):\n    row = obj._row\n    return {pred}\n"
+        + _scan_loop(fast_pred, "TypeError")
+    )
+    factory, source = _exec_factory(
+        gen, body, "_expr, _pred, _scan", f"<compiled:{type_.name}>"
+    )
+    return _Program(factory, info, source)
 
 
 # ---------------------------------------------------------------------------
-# The per-epoch program cache.
+# The per-epoch caches.
 # ---------------------------------------------------------------------------
 
-_cache: Dict[Tuple[int, int], Tuple[Node, Any, CompiledExpr]] = {}
+#: Entries kept per node-keyed cache before it is emptied: the per-node
+#: caches only save the shape walk and the factory call for repeated
+#: nodes, so dropping them costs one rebind, never a compile.
+_NODE_CACHE_LIMIT = 1024
+
+#: (shape, id(type)) -> (type, program): one compiled program per shape.
+_programs: Dict[Tuple[Tuple[Any, ...], int], Tuple[Any, _Program]] = {}
+#: (id(node), id(type)) -> (node, type, bound program).
+_bound: Dict[Tuple[int, int], Tuple[Node, Any, CompiledExpr]] = {}
+#: id(node) -> (node, shape, bindings).
+_shapes: Dict[int, Tuple[Node, Tuple[Any, ...], List[Any]]] = {}
 _cache_epoch: int = -1
+
+
+def _check_epoch() -> None:
+    global _cache_epoch
+    epoch = _resolution._SCHEMA_EPOCH
+    if epoch != _cache_epoch:
+        invalidate_cache()
+        _cache_epoch = epoch
+
+
+def shape_of(node: Node) -> Tuple[Tuple[Any, ...], List[Any]]:
+    """``node``'s shape key and per-node bindings (see :func:`_shape`)."""
+    hit = _shapes.get(id(node))
+    if hit is not None and hit[0] is node:
+        return hit[1], hit[2]
+    params: List[Any] = []
+    shape = _shape(node, params)
+    if len(_shapes) >= _NODE_CACHE_LIMIT:
+        _shapes.clear()
+    _shapes[id(node)] = (node, shape, params)
+    return shape, params
 
 
 def compiled_for(node: Node, type_: Any, obs: Any = None) -> CompiledExpr:
     """The compiled program of ``node`` anchored at ``type_``.
 
-    Compiled once per schema epoch; a DDL change invalidates every cached
-    program (the epoch is the same counter ``catalog.schema_epoch``
-    exposes).  Strong references to the node and type are retained so the
-    identity key stays valid.
+    Programs are compiled once per (shape, type) per schema epoch: queries
+    that differ only in their literal values share one program, and each
+    node binds its own values into it.  A DDL change invalidates every
+    cached program (the epoch is the same counter ``catalog.schema_epoch``
+    exposes).  Strong references to the nodes and types are retained so
+    identity keys stay valid.
     """
-    global _cache_epoch
-    epoch = _resolution._SCHEMA_EPOCH
-    if epoch != _cache_epoch:
-        _cache.clear()
-        _cache_epoch = epoch
+    _check_epoch()
     key = (id(node), id(type_))
-    hit = _cache.get(key)
+    hit = _bound.get(key)
     if hit is not None and hit[0] is node and hit[1] is type_:
         return hit[2]
-    compiled = _build(node, type_, obs)
-    _cache[key] = (node, type_, compiled)
+    shape, params = shape_of(node)
+    program_key = (shape, id(type_))
+    entry = _programs.get(program_key)
+    if entry is None or entry[0] is not type_:
+        entry = _programs[program_key] = (type_, _build(shape, type_, obs))
+    compiled = entry[1].bind(params)
+    if len(_bound) >= _NODE_CACHE_LIMIT:
+        _bound.clear()
+    _bound[key] = (node, type_, compiled)
     return compiled
 
 
@@ -531,9 +653,17 @@ def compile_info(node: Node, type_: Any, obs: Any = None) -> CompileInfo:
 
 def invalidate_cache() -> None:
     """Drop every compiled program (tests and diagnostics)."""
-    _cache.clear()
+    _programs.clear()
+    _bound.clear()
+    _shapes.clear()
 
 
 def cache_stats() -> Dict[str, int]:
-    """Observable counters of the program cache."""
-    return {"expr.compiled": len(_cache), "expr.cache_epoch": _cache_epoch}
+    """Observable counters of the program cache: ``expr.compiled`` counts
+    programs (one per shape and type), ``expr.bound`` the per-node
+    bindings kept for repeated nodes."""
+    return {
+        "expr.compiled": len(_programs),
+        "expr.bound": len(_bound),
+        "expr.cache_epoch": _cache_epoch,
+    }

@@ -18,7 +18,7 @@ no-op span when observability (or tracing) is off, so call sites can use
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from .metrics import MetricsRegistry
 from .provenance import AuditLog
@@ -77,6 +77,22 @@ class Observability:
 
         self.recorder = FlightRecorder(database, capacity=flight_ring)
         self._health = None
+        #: (registry generation, ``reads.inherited``, ``resolution.fast_hits``):
+        #: the inherited-read counters, bound on first use and rebound when
+        #: the registry is reset (its instruments are then new objects).
+        self._read_counters: Tuple[int, Any, Any] = (-1, None, None)
+
+    def count_inherited_read(self, hops: int) -> None:
+        """Count one observed inherited read: ``hops`` delegation hops on
+        ``reads.inherited`` and one ``resolution.fast_hits``."""
+        generation, reads, hits = self._read_counters
+        metrics = self.metrics
+        if generation != metrics.generation:
+            reads = metrics.counter("reads.inherited")
+            hits = metrics.counter("resolution.fast_hits")
+            self._read_counters = (metrics.generation, reads, hits)
+        reads.value += hops
+        hits.value += 1
 
     @property
     def health(self):

@@ -146,6 +146,48 @@ def _distinct_rows(rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
     return unique
 
 
+def _scan_by_type(
+    db: Database, source: Any, where: Any, groups: List[Tuple[Any, List[DBObject]]],
+    plan: QueryPlan, obs, views: bool,
+) -> Optional[Tuple[int, List[DBObject]]]:
+    """One batched scan per concrete type: the type's view program where
+    views can serve it (full-scan plans only — an index path keeps
+    precedence, sub-linear beats faster-scan), else its slot program.
+
+    Returns ``(scanned, matches in source order)``, or None when a scan
+    cannot finish; the caller then re-runs the query per object in source
+    order, which raises the tree walk's first error, if any.
+    """
+    route = views and plan.access_path == "full-scan"
+    parts: List[List[DBObject]] = []
+    scanned = 0
+    served = False
+    try:
+        for type_, objs in groups:
+            outcome = None
+            if route:
+                outcome = db.views.try_scan(where, type_, objs, plan, obs)
+                served = served or outcome is not None
+            if outcome is None:
+                if len(groups) > 1:
+                    plan.notes.append(f"slot scan: {type_.name}")
+                outcome = compiled_for(where, type_, obs).scan(objs)
+                if outcome is None:
+                    return None
+            scanned += outcome[0]
+            if outcome[1]:
+                parts.append(outcome[1])
+    except Exception:  # noqa: BLE001 - re-raised by the per-object re-run
+        if len(groups) == 1:
+            raise  # one group scans in source order: this is the first error
+        return None
+    if served:
+        plan.access_path = "view"
+    if len(parts) == 1:
+        return scanned, parts[0]
+    return scanned, source.ordered([obj for part in parts for obj in part])
+
+
 def _execute(
     db: Database,
     spec: QuerySpec,
@@ -154,38 +196,28 @@ def _execute(
     views: bool = True,
 ) -> QueryResult:
     source = resolve_source(db, spec.source_name)
-    plan, candidates = plan_source(db, source, spec.where, text=spec.text)
+    where = spec.where
+    by_type = compiled and where is not None
+    plan, candidates = plan_source(
+        db, source, where, text=spec.text, by_type=by_type
+    )
 
     matches: List[DBObject] = []
     scanned = 0
-    where = spec.where
-    batched = False
-    if compiled and where is not None and candidates:
-        outcome = None
-        if views and plan.access_path == "full-scan":
-            # View routing: predicates over inherited members run against
-            # the type's materialized view columns (plan shows "view").
-            # Index paths keep precedence — sub-linear beats faster-scan.
-            outcome = db.views.try_scan(where, candidates, plan, obs)
+    outcome = None
+    if by_type:
+        outcome = _scan_by_type(db, source, where, candidates, plan, obs, views)
         if outcome is None:
-            # Batched scan: the whole filter loop is generated next to the
-            # predicate (CompiledExpr.scan), so the steady per-object cost
-            # is one identity compare plus the inlined slot reads — no
-            # closure call.  The scan bails out (None) on the first object
-            # of another type; mixed extents rerun below with per-type
-            # dispatch.
-            outcome = compiled_for(where, candidates[0].object_type, obs).scan(
-                candidates
+            plan.notes.append("a batched scan could not finish; re-ran per object")
+            candidates = source.ordered(
+                [obj for _, objs in candidates for obj in objs]
             )
-        if outcome is not None:
-            scanned, matches = outcome
-            batched = True
-    if batched:
-        pass
+    if outcome is not None:
+        scanned, matches = outcome
     elif compiled:
-        # Per-type dispatch: one compiled slot program per concrete type,
-        # applied over runs of candidates (heterogeneous extents, or no
-        # where clause at all).
+        # Per-object compiled predicates, one program per concrete type:
+        # no where clause at all, or the re-run of a scan that could not
+        # finish (its wrapping helpers raise the interpreter's errors).
         pred = None
         pred_type = None
         preds: dict = {}

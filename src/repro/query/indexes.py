@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right, insort
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core import resolution as _resolution
 from ..errors import UnknownAttributeError
@@ -280,24 +280,30 @@ class ValueIndex:
             return counts[KIND_NUM] == 0
         return False
 
-    def _range_bounds(self, op: str, key) -> Tuple[int, int]:
-        rank = (kind_of(key), key)
+    def _range_span(self, bounds: Sequence[Tuple[str, Any]]) -> Tuple[int, int]:
+        """The slice of ``_sorted`` inside every ``(op, key)`` bound: one
+        bisect per bound, intersected — a two-sided range costs two."""
         ranks = self._sorted
         first = lambda element: element[0]  # noqa: E731 - bisect key
-        if op == ">":
-            return bisect_right(ranks, rank, key=first), len(ranks)
-        if op == ">=":
-            return bisect_left(ranks, rank, key=first), len(ranks)
-        if op == "<":
-            return 0, bisect_left(ranks, rank, key=first)
-        return 0, bisect_right(ranks, rank, key=first)  # "<="
+        low, high = 0, len(ranks)
+        for op, key in bounds:
+            rank = (kind_of(key), key)
+            if op == ">":
+                low = max(low, bisect_right(ranks, rank, key=first))
+            elif op == ">=":
+                low = max(low, bisect_left(ranks, rank, key=first))
+            elif op == "<":
+                high = min(high, bisect_left(ranks, rank, key=first))
+            else:  # "<="
+                high = min(high, bisect_right(ranks, rank, key=first))
+        return low, max(low, high)
 
-    def estimate_range(self, op: str, key) -> int:
-        low, high = self._range_bounds(op, key)
+    def estimate_range(self, bounds: Sequence[Tuple[str, Any]]) -> int:
+        low, high = self._range_span(bounds)
         return high - low
 
-    def lookup_range(self, op: str, key) -> List[Any]:
-        low, high = self._range_bounds(op, key)
+    def lookup_range(self, bounds: Sequence[Tuple[str, Any]]) -> List[Any]:
+        low, high = self._range_span(bounds)
         entries = self._entries
         return [entries[surrogate].obj
                 for _, _, surrogate in self._sorted[low:high]]
@@ -455,23 +461,32 @@ class IndexManager:
     def objects_of_type(self, resolved, include_subtypes: bool = True) -> List[Any]:
         """All live objects of a type, in the registry's adoption order —
         O(result), serving what used to be a full-database scan."""
-        self._bump("index.type_lookups")
         if not include_subtypes:
+            self._bump("index.type_lookups")
             bucket = self._by_type.get(resolved)
             return list(bucket.values()) if bucket else []
-        buckets = [
-            self._by_type[concrete]
-            for concrete in self._closure(resolved)
-            if self._by_type[concrete]
-        ]
-        if not buckets:
+        groups = self.type_groups_of(resolved)
+        if not groups:
             return []
-        if len(buckets) == 1:
-            return list(buckets[0].values())
-        merged = [obj for bucket in buckets for obj in bucket.values()]
+        if len(groups) == 1:
+            return groups[0][1]
+        merged = [obj for _, members in groups for obj in members]
         order = self._adopt_order
         merged.sort(key=lambda obj: order[obj.surrogate])
         return merged
+
+    def type_groups_of(self, resolved) -> List[Tuple[Any, List[Any]]]:
+        """:meth:`objects_of_type` split by concrete type, unmerged: one
+        ``(type, live objects in adoption order)`` pair per conforming
+        type with instances.  A polymorphic full scan runs per type over
+        these and orders only its matches."""
+        self._bump("index.type_lookups")
+        by_type = self._by_type
+        return [
+            (concrete, list(by_type[concrete].values()))
+            for concrete in self._closure(resolved)
+            if by_type[concrete]
+        ]
 
     def type_population(self, resolved, include_subtypes: bool = True) -> int:
         """Size of :meth:`objects_of_type` without materialising it."""

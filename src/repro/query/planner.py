@@ -16,11 +16,14 @@ that loop:
    identifiers that provably resolve on **no** live candidate type, so
    they evaluate to their own spelling everywhere.
 
-3. **Costing** — each sarg asks the index manager for a value index
+3. **Costing** — each equality sarg is one access path, and every range
+   sarg on one attribute joins that attribute's one *interval* (``Length
+   >= a and Length <= b`` is probed as ``[a, b]``, not as one bound plus a
+   residual filter).  Each path asks the index manager for a value index
    (built lazily on first use once the source holds at least
    ``min_index_source`` objects) and gets a cardinality estimate: exact
-   bucket size for equality, bisect-bounded span for ranges.  The
-   cheapest access path wins if it beats the full scan.
+   bucket size for equality, two bisects for an interval.  The cheapest
+   access path wins if it beats the full scan.
 
 4. **Candidates** — an index lookup returns a *superset* of the matching
    objects in the source's scan order (unhashable values ride along in an
@@ -43,7 +46,7 @@ Predicates that evaluate without error are always byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import resolution as _resolution
 from ..errors import QueryError, UnknownTypeError
@@ -76,6 +79,9 @@ class _ClassSource:
     def fetch_all(self):
         return self.extent.members()
 
+    def fetch_groups(self):
+        return split_by_type(self.extent.members(), self.concrete_types())
+
     def concrete_types(self):
         return [
             concrete
@@ -107,6 +113,9 @@ class _TypeSource:
     def fetch_all(self):
         return self.db.indexes.objects_of_type(self.type_)
 
+    def fetch_groups(self):
+        return self.db.indexes.type_groups_of(self.type_)
+
     def concrete_types(self):
         return self.db.indexes.concrete_types_of(self.type_)
 
@@ -135,6 +144,20 @@ def resolve_source(db, name: str):
 def class_source(db, extent) -> _ClassSource:
     """Wrap an already-resolved extent (``Database.select``'s path)."""
     return _ClassSource(db, extent)
+
+
+def split_by_type(candidates, concrete_types) -> List[Tuple[Any, List[Any]]]:
+    """``candidates`` as ``(concrete type, objects)`` groups, source order
+    kept within each group; one pass, none when there is one type."""
+    if len(concrete_types) == 1:
+        return [(concrete_types[0], candidates)] if candidates else []
+    groups: Dict[Any, List[Any]] = {}
+    for obj in candidates:
+        group = groups.get(obj.object_type)
+        if group is None:
+            group = groups[obj.object_type] = []
+        group.append(obj)
+    return list(groups.items())
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +223,12 @@ def _fold_constant(node: Node, concrete_types) -> Any:
     return _NOT_CONSTANT
 
 
+def _text(conjunct: Binary) -> str:
+    """A conjunct as written, without the outer parentheses of
+    ``unparse`` (an interval joins several with ``and``)."""
+    return f"{conjunct.left.unparse()} {conjunct.op} {conjunct.right.unparse()}"
+
+
 def extract_sargs(where: Node, concrete_types) -> List[Sarg]:
     """Sargable conjuncts of ``where`` against the given candidate types."""
     sargs: List[Sarg] = []
@@ -212,10 +241,10 @@ def extract_sargs(where: Node, concrete_types) -> List[Sarg]:
         if left_const is not _NOT_CONSTANT and right_const is not _NOT_CONSTANT:
             continue  # constant conjunct: nothing to index
         if isinstance(left, Name) and right_const is not _NOT_CONSTANT:
-            sargs.append(Sarg(left.identifier, op, right_const, conjunct.unparse()))
+            sargs.append(Sarg(left.identifier, op, right_const, _text(conjunct)))
         elif isinstance(right, Name) and left_const is not _NOT_CONSTANT:
             sargs.append(
-                Sarg(right.identifier, _FLIP[op], left_const, conjunct.unparse())
+                Sarg(right.identifier, _FLIP[op], left_const, _text(conjunct))
             )
     return sargs
 
@@ -277,14 +306,34 @@ class QueryPlan:
 # ---------------------------------------------------------------------------
 
 
+def _access_paths(sargs: List[Sarg]) -> List[Tuple[str, List[Sarg]]]:
+    """Group sargs into candidate access paths, in first-appearance order:
+    each equality is its own path, and every range sarg on one attribute
+    joins that attribute's one interval."""
+    paths: List[Tuple[str, List[Sarg]]] = []
+    intervals: Dict[str, List[Sarg]] = {}
+    for sarg in sargs:
+        if sarg.op == "=":
+            paths.append(("index-eq", [sarg]))
+        elif sarg.attr in intervals:
+            intervals[sarg.attr].append(sarg)
+        else:
+            intervals[sarg.attr] = [sarg]
+            paths.append(("index-range", intervals[sarg.attr]))
+    return paths
+
+
 def plan_source(
-    db, source, where: Optional[Node], text: str = ""
+    db, source, where: Optional[Node], text: str = "", by_type: bool = False
 ) -> Tuple[QueryPlan, List[Any]]:
     """Choose an access path for ``source`` filtered by ``where``.
 
-    Returns the plan plus the candidate objects in source scan order.
-    Candidates are a superset of the matches; the caller must still apply
-    the full ``where``.
+    Returns the plan plus the candidate objects in source scan order —
+    or, with ``by_type``, the candidates as ``(concrete type, objects)``
+    groups (source order within each group), which a type source serves
+    from its per-type buckets without merging them.  Candidates are a
+    superset of the matches; the caller must still apply the full
+    ``where``.
     """
     manager = db.indexes
     size = source.size()
@@ -298,51 +347,58 @@ def plan_source(
     best = None
     if where is not None and manager.auto and size > 0:
         concrete_types = source.concrete_types()
-        for sarg in extract_sargs(where, concrete_types):
+        for path, sargs in _access_paths(extract_sargs(where, concrete_types)):
+            attr = sargs[0].attr
             index = manager.usable_value_index(
-                source.kind, source.name, source.source_type(), sarg.attr, size
+                source.kind, source.name, source.source_type(), attr, size
             )
             if index is None:
                 plan.notes.append(
-                    f"{sarg.attr}: source below index threshold "
+                    f"{attr}: source below index threshold "
                     f"({size} < {manager.min_index_source})"
                 )
                 continue
-            if sarg.op == "=":
-                estimate = index.estimate_eq(sarg.key)
-                path = "index-eq"
+            if path == "index-eq":
+                estimate = index.estimate_eq(sargs[0].key)
             else:
-                if not index.range_supported(sarg.key):
+                unsafe = [s for s in sargs if not index.range_supported(s.key)]
+                for sarg in unsafe:
                     plan.notes.append(
                         f"{sarg.text}: values not uniformly comparable with "
                         f"{sarg.key!r}; range scan unsafe"
                     )
+                if unsafe:
                     continue
-                estimate = index.estimate_range(sarg.op, sarg.key)
-                path = "index-range"
+                estimate = index.estimate_range(
+                    [(sarg.op, sarg.key) for sarg in sargs]
+                )
             if best is None or estimate < best[0]:
-                best = (estimate, path, sarg, index)
+                best = (estimate, path, sargs, index)
 
     if best is not None and best[0] < size:
-        estimate, path, sarg, index = best
-        if sarg.op == "=":
-            candidates = index.lookup_eq(sarg.key)
+        estimate, path, sargs, index = best
+        if path == "index-eq":
+            candidates = index.lookup_eq(sargs[0].key)
         else:
-            candidates = index.lookup_range(sarg.op, sarg.key)
+            candidates = index.lookup_range(
+                [(sarg.op, sarg.key) for sarg in sargs]
+            )
         index.validate(candidates)
         candidates = source.ordered(candidates)
+        if by_type:
+            candidates = split_by_type(candidates, source.concrete_types())
         plan.access_path = path
-        plan.index_attr = sarg.attr
-        plan.sarg = sarg.text
+        plan.index_attr = sargs[0].attr
+        plan.sarg = " and ".join(sarg.text for sarg in sargs)
         plan.estimated_candidates = estimate
         manager._bump("index.hits")
     else:
         if best is not None:
             plan.notes.append(
-                f"cheapest index ({best[2].text}) estimated {best[0]} of "
-                f"{size}; full scan kept"
+                f"cheapest index ({' and '.join(s.text for s in best[2])}) "
+                f"estimated {best[0]} of {size}; full scan kept"
             )
-        candidates = source.fetch_all()
+        candidates = source.fetch_groups() if by_type else source.fetch_all()
         if (where is not None and manager.auto
                 and size >= manager.min_index_source):
             manager._bump("index.misses")

@@ -31,22 +31,24 @@ type extents:
     routing rebuilds it lazily (the ``query.view.staleness`` counter and
     each view's ``staleness`` attribute count these rebuilds).
 
-* **Planner routing** — :meth:`ViewManager.try_scan` is called by the
-  executor for full-scan plans whose ``where`` touches at least one
-  view-covered inherited member.  The predicate compiles (once per view
+* **Planner routing** — the executor splits a full scan's candidates by
+  concrete type and calls :meth:`ViewManager.try_scan` once per type
+  whose part of the ``where`` touches at least one view-covered
+  inherited member.  The predicate compiles (once per shape per view
   generation) through :class:`_ViewCodegen`, a
   :class:`~repro.expr.compile._Codegen` subclass that emits inherited
-  reads as ``column[vrow]`` against the view columns instead of the
+  reads as ``column[row]`` against the view columns instead of the
   per-object member-protocol closure.  EXPLAIN shows ``view`` as the
   access path; ``run_query(..., views=False)`` keeps the live path as
   the differential oracle.
 
 Error parity: a cell that fails to extract for any reason other than the
 label convention **taints** its row, and a tainted view refuses to serve
-scans — the live path then reproduces the exact error.  Likewise the
-generated scan bails out (``None``) on heterogeneous candidates or a raw
-comparison ``TypeError``, exactly like the slot-scan of
-:mod:`repro.expr.compile`, and the executor re-runs on the live path.
+scans — that type's live scan then reproduces the exact error.  Likewise
+the generated scan bails out (``None``) on a raw comparison
+``TypeError`` or a row the view never grew to, exactly like the slot scan
+of :mod:`repro.expr.compile`, and the executor scans the type on the
+live path.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core import resolution as _resolution
 from ..expr.ast import Binary, Name, Node, Path, Unary
-from ..expr.compile import _Codegen
+from ..expr.compile import _Codegen, _exec_factory, _scan_loop, shape_of
 from .indexes import extract_value
 
 __all__ = ["TypeView", "ViewManager", "view_eligible_names"]
@@ -84,7 +86,7 @@ def view_eligible_names(plan: Any) -> List[str]:
 
 
 class _ViewProgram:
-    """One compiled view scan: the generated loop + the columns it used."""
+    """One view scan bound to a node: the generated loop + the columns it used."""
 
     __slots__ = ("scan", "used", "source")
 
@@ -121,49 +123,34 @@ class _ViewCodegen(_Codegen):
         return super()._emit_name(identifier)
 
 
-def _build_view_scan(node: Node, view: "TypeView", obs: Any = None) -> _ViewProgram:
-    """Generate the batch filter loop of ``node`` over ``view``'s rows.
+#: A compiled view scan of one shape: ``(factory, used columns, source)``;
+#: the factory binds one node's literals into its scan.
+_ShapeProgram = Tuple[Callable[..., Any], Tuple[str, ...], str]
 
-    Same shape as the slot scan of :func:`repro.expr.compile._build`:
+
+def _build_view_scan(
+    shape: Tuple[Any, ...], view: "TypeView", obs: Any = None
+) -> _ShapeProgram:
+    """Generate the batch filter loop of ``shape`` over ``view``'s rows.
+
+    Same loop as the slot scan of :func:`repro.expr.compile._build`:
     raw comparisons (``fast_cmp``), deleted objects dropped and counted,
     bail to ``None`` on a foreign type, a naked ``TypeError``, or an
     ``IndexError`` from a row the view never grew to — the caller then
-    re-runs on the live path, which reproduces interpreter semantics
-    (and errors) exactly.  View cells are addressed by ``obj._row``,
-    the same index the stored-slot reads use: a live object's storage
-    row is stable for its lifetime, so no surrogate lookup is needed.
+    runs the live path, which reproduces interpreter semantics (and
+    errors) exactly.  View cells are addressed by ``obj._row``, the same
+    index the stored-slot reads use: a live object's storage row is
+    stable for its lifetime, so no surrogate lookup is needed.
     """
     gen = _ViewCodegen(view, obs)
     gen.fast_cmp = True
-    fast, fast_bool, _ = gen.emit(node)
+    fast, fast_bool = gen.emit_root(shape)
     fast_pred = fast if fast_bool else f"truthy({fast})"
-    source = (
-        "def _scan(objs):\n"
-        "    try:\n"
-        "        total = len(objs)\n"
-        "    except TypeError:\n"
-        "        return None\n"
-        "    matched = []\n"
-        "    append = matched.append\n"
-        "    dropped = 0\n"
-        "    try:\n"
-        "        for obj in objs:\n"
-        "            if obj._deleted:\n"
-        "                dropped += 1\n"
-        "                continue\n"
-        "            if obj.object_type is not _scan_type:\n"
-        "                return None\n"
-        "            row = obj._row\n"
-        f"            if {fast_pred}:\n"
-        "                append(obj)\n"
-        "    except (TypeError, IndexError):\n"
-        "        return None\n"
-        "    return (total - dropped, matched)\n"
+    factory, source = _exec_factory(
+        gen, _scan_loop(fast_pred, "(TypeError, IndexError)"), "_scan",
+        f"<view:{view.type.name}>",
     )
-    env = gen.env
-    env["_scan_type"] = view.type
-    exec(compile(source, f"<view:{view.type.name}>", "exec"), env)
-    return _ViewProgram(env["_scan"], tuple(gen.used), source)
+    return factory, tuple(gen.used), source
 
 
 class TypeView:
@@ -207,9 +194,9 @@ class TypeView:
         #: Epoch rebuilds this view's type has seen (carried across
         #: rebuilds by the manager; surfaced per query.view.staleness).
         self.staleness = staleness
-        #: id(where-node) -> (node, program); dies with the view, so a
-        #: rebuild can never serve a scan bound to dead columns.
-        self._programs: Dict[int, Tuple[Node, _ViewProgram]] = {}
+        #: shape -> compiled scan, one per predicate shape; dies with the
+        #: view, so a rebuild can never serve a scan bound to dead columns.
+        self._programs: Dict[Tuple[Any, ...], _ShapeProgram] = {}
 
     def __len__(self) -> int:
         return len(self.row_of)
@@ -283,12 +270,12 @@ class TypeView:
     # -- compiled scans --------------------------------------------------------
 
     def program_for(self, node: Node, obs: Any = None) -> _ViewProgram:
-        hit = self._programs.get(id(node))
-        if hit is not None and hit[0] is node:
-            return hit[1]
-        program = _build_view_scan(node, self, obs)
-        self._programs[id(node)] = (node, program)
-        return program
+        shape, params = shape_of(node)
+        program = self._programs.get(shape)
+        if program is None:
+            program = self._programs[shape] = _build_view_scan(shape, self, obs)
+        factory, used, source = program
+        return _ViewProgram(factory(*params), used, source)
 
 
 class ViewManager:
@@ -402,21 +389,21 @@ class ViewManager:
         return False
 
     def try_scan(
-        self, where: Node, candidates: List[Any], plan: Any, obs: Any = None
+        self, where: Node, type_: Any, objs: List[Any], plan: Any, obs: Any = None
     ) -> Optional[Tuple[int, List[Any]]]:
-        """Route a full-scan ``where`` over ``candidates`` to a view.
+        """Scan one concrete type's candidates ``objs`` through its view.
 
-        Returns ``(scanned, matched)`` on success — then ``plan`` shows
-        ``view`` as the access path — or None, in which case the caller
-        proceeds on the live path untouched.  Quiet (no miss, no note)
-        when the predicate doesn't touch an inherited member at all;
-        a counted miss when a view *should* have served but couldn't.
+        Returns ``(scanned, matched)`` on success, noting the columns on
+        ``plan``; the executor then reports ``view`` as the access path.
+        None means the caller scans ``objs`` on the live path.  Quiet (no
+        miss, no note) when the predicate doesn't touch an inherited
+        member at all; a counted miss when a view *should* have served but
+        couldn't.
         """
-        if not self.auto or not candidates:
+        if not self.auto or not objs:
             return None
         if plan.source_size < self.min_view_source:
             return None
-        type_ = candidates[0].object_type
         entries = _resolution.plan_for(type_, obs).entries
         if not self._touches_view_member(where, entries):
             return None
@@ -435,16 +422,15 @@ class ViewManager:
         if not program.used:
             self._bump("query.view.misses")
             return None
-        outcome = program.scan(candidates)
+        outcome = program.scan(objs)
         if outcome is None:
             self._bump("query.view.misses")
             plan.notes.append(
-                f"view {type_.name}: scan bailed (mixed types or raw-compare "
-                f"error); re-ran on the live path"
+                f"view {type_.name}: scan bailed (raw-compare or row error); "
+                f"live path kept"
             )
             return None
         self._bump("query.view.hits")
-        plan.access_path = "view"
         plan.notes.append(
             f"view: {type_.name} columns [{', '.join(program.used)}]"
         )

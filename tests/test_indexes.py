@@ -42,31 +42,34 @@ def _uname(prefix):
     return f"{prefix}Ix{_counter[0]}"
 
 
+def _outcome(db, text, **options):
+    """Columns, rows, object order and access path of a query, or its
+    exception."""
+    try:
+        result = run_query(db, text, **options)
+    except Exception as exc:  # noqa: BLE001 - compared by the caller
+        return ("error", type(exc), str(exc)), None
+    objects = result.objects
+    return ("ok", result.columns, result.rows,
+            None if objects is None else [o.surrogate for o in objects]
+            ), result.plan.access_path
+
+
 def assert_queries_agree(db, text):
-    """Indexed execution must match the full-scan oracle exactly —
-    rows, columns, objects, or the exception type and message."""
+    """Indexed execution must match the live full-scan oracle and the tree
+    walk exactly — rows, columns, objects, or the exception type and
+    message."""
     manager = db.indexes
     manager.auto = False
     try:
-        oracle = run_query(db, text)
-        oracle_exc = None
-    except Exception as exc:  # noqa: BLE001 - re-asserted below
-        oracle, oracle_exc = None, exc
+        oracle, access = _outcome(db, text, views=False)
+        walked, _ = _outcome(db, text, compiled=False)
     finally:
         manager.auto = True
-    if oracle_exc is not None:
-        with pytest.raises(type(oracle_exc)) as caught:
-            run_query(db, text)
-        assert str(caught.value) == str(oracle_exc)
-        return
-    indexed = run_query(db, text)
-    assert indexed.columns == oracle.columns
-    assert indexed.rows == oracle.rows
-    if oracle.objects is not None:
-        assert [o.surrogate for o in indexed.objects] == [
-            o.surrogate for o in oracle.objects
-        ]
-    assert oracle.plan.access_path == "full-scan"
+    indexed, _ = _outcome(db, text)
+    assert indexed == oracle, text
+    assert indexed == walked, text
+    assert access in ("full-scan", None)
 
 
 def assert_type_index_agrees(db, type_):
@@ -80,7 +83,7 @@ def assert_type_index_agrees(db, type_):
 # the randomized-schema oracle property
 # ---------------------------------------------------------------------------
 
-ALPHA_VALUES = (0, 1, 2, 3, "x", "y")
+ALPHA_VALUES = (0, 1, 2, 3, 1.5, "x", "y")
 BETA_VALUES = (0, 1, 2, 3, 4, 5)
 
 
@@ -108,6 +111,18 @@ def _battery(db, world):
         f"select * from {world.base.name} where alpha = 3",
         f"select * from {world.sub.name} where alpha = 0",
         f"select * from {world.leaf.name} where beta = 1",
+        # Two-sided ranges: one interval per attribute, strict and
+        # non-strict bounds, a literal on either side, int/float keys,
+        # empty and inverted intervals, and alpha's mixed kinds (strings
+        # make the range unsafe, so the planner keeps the full scan).
+        "select * from Things where beta > 1 and beta <= 4",
+        "select * from Things where 1.5 < beta and beta < 3.5",
+        "select * from Things where beta >= 2 and beta < 2",
+        "select * from Things where beta > 4 and beta < 1",
+        "select * from Things where alpha >= 1 and alpha <= 2",
+        f"select * from {world.base.name} where beta >= 1 and beta <= 3",
+        f"select * from {world.base.name} where alpha > 0 and alpha < 1.5",
+        f"select alpha from {world.base.name} where 2 <= beta and beta <= 2",
     ]
     for text in queries:
         assert_queries_agree(db, text)
@@ -222,6 +237,9 @@ def test_planner_matches_full_scan_oracle(actions):
         # Cheap agreement probes per step catch staleness at the moment it
         # appears, not only at the end.
         assert_queries_agree(db, "select * from Things where alpha = 1")
+        assert_queries_agree(
+            db, f"select * from {base.name} where beta > 0 and beta <= 3"
+        )
         assert_derived_state_fresh(db)
 
     _battery(db, world)
@@ -259,6 +277,39 @@ def test_range_uses_sorted_index(parts_db):
     result = run_query(parts_db, "select Serial from Parts where Serial >= 55")
     assert result.plan.access_path == "index-range"
     assert result.scalars() == [55, 56, 57, 58, 59]
+
+
+def test_two_sided_range_probes_one_interval(parts_db):
+    text = "select Serial from Parts where Serial > 10 and 14 >= Serial"
+    result = run_query(parts_db, text, explain=True)
+    assert result.plan.access_path == "index-range"
+    assert result.plan.candidates == 4  # both bounds probed, no residual
+    assert result.scalars() == [11, 12, 13, 14]
+    assert "index-range on 'Serial' [Serial > 10 and 14 >= Serial]" in (
+        result.explain()
+    )
+    assert_queries_agree(parts_db, text)
+    for empty in (
+        "select * from Parts where Serial > 14 and Serial < 10",
+        "select * from Parts where Serial >= 12 and Serial < 12",
+    ):
+        result = run_query(parts_db, empty)
+        assert result.plan.access_path == "index-range"
+        assert result.plan.candidates == 0 and not result.rows
+        assert_queries_agree(parts_db, empty)
+
+
+def test_interval_with_an_incomparable_bound_keeps_the_full_scan(parts_db):
+    result = run_query(
+        parts_db, "select * from Parts where Serial > 100 and Serial < 'x'"
+    )
+    assert result.plan.access_path == "full-scan"
+    assert any("range scan unsafe" in note for note in result.plan.notes)
+    # The incomparable conjunct first: the full scan raises on the first
+    # part, so the other bound must not narrow the candidates to none.
+    assert_queries_agree(
+        parts_db, "select * from Parts where Serial < 'x' and Serial > 100"
+    )
 
 
 def test_explain_reports_estimated_and_actual_rows(parts_db):

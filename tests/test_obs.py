@@ -324,6 +324,17 @@ class TestInstrumentedPaths:
         impl.get_member("TimeBehavior")  # local: uncounted
         assert db.obs.metrics.value("reads.inherited") == before + 1
 
+    def test_inherited_reads_count_after_metrics_reset(self):
+        db = observed_gate_database()
+        iface = make_interface(db)
+        impl = make_implementation(db, iface)
+        impl.get_member("Length")
+        db.obs.metrics.reset()
+        impl.get_member("Length")
+        impl.get_member("Width")
+        assert db.obs.metrics.value("reads.inherited") == 2
+        assert db.obs.metrics.value("resolution.fast_hits") == 2
+
     def test_bind_span_recorded(self):
         db = observed_gate_database()
         iface = make_interface(db)

@@ -267,6 +267,63 @@ class TestCompiledMatchesInterpreter:
         before = cache_stats()["expr.compiled"]
         run_query(db, "select * from Parts where A = 5")
         assert cache_stats()["expr.compiled"] == before
+        # Texts that differ only in their literal values share the one
+        # program of their shape; each binds its own constants.
+        obj._attrs["A"] = 7
+        for value in range(300):
+            result = run_query(db, f"select * from Parts where A = {value}")
+            assert len(result.rows) == (value == 7)
+        assert cache_stats()["expr.compiled"] == before
+        # The per-node bindings stay bounded however many texts ran.
+        assert cache_stats()["expr.bound"] <= 1024
+        # A literal of another Python type is another shape.
+        run_query(db, "select * from Parts where A = 'x'")
+        assert cache_stats()["expr.compiled"] == before + 1
+
+    def test_shape_programs_bind_each_nodes_literals(self, oracle_db):
+        db, obj = oracle_db
+        part = obj.object_type
+        obj._attrs.update(A=4, B=True, C=2.5)
+        for source, expected in (
+            ("A > 3 and B = true", True),
+            ("A > 5 and B = false", False),
+            ("A > 3.5 and C < 2", False),
+            ("A > 3.5 and C < 3", True),
+        ):
+            node = parse_expression(source)
+            program = compiled_for(node, part)
+            assert program.predicate(obj) is expected, source
+            assert program.predicate(obj) == truthy(node.evaluate(EvalContext(obj)))
+        first = compiled_for(parse_expression("A > 1"), part)
+        second = compiled_for(parse_expression("A > 9"), part)
+        assert first.source == second.source  # one shape, one program
+        assert first.predicate(obj) and not second.predicate(obj)
+        node = parse_expression("A > 1")
+        assert compiled_for(node, part) is compiled_for(node, part)
+
+    def test_interpreted_subtrees_keep_their_own_literals(self):
+        db = fresh_db()
+        db.catalog.define_object_type(
+            "Bin", attributes={"K": ANY},
+            subclasses={"Items": db.catalog.object_type("Part")},
+        )
+        db.create_class("Bins", "Bin")
+        bin_ = db.create_object("Bin", class_name="Bins", K=1)
+        for n in (1, 4, 6):
+            bin_.subclass("Items").create(A=n)
+        texts = {
+            "select * from Bins where count(s in Items where s.A > 3) = 2": 1,
+            "select * from Bins where count(s in Items where s.A > 5) = 2": 0,
+            "select * from Bins where count(s in Items where s.A > 0) = 3": 1,
+            "select * from Bins where for (s in Items): s.A > 0": 1,
+            "select * from Bins where for (s in Items): s.A > 3": 0,
+            "select * from Bins where exists(s in Items where s.A = 6)": 1,
+            "select * from Bins where exists(s in Items where s.A = 5)": 0,
+        }
+        for _ in range(2):  # second pass: every program comes from the cache
+            for text, rows in texts.items():
+                assert len(run_query(db, text).rows) == rows, text
+                assert len(run_query(db, text, compiled=False).rows) == rows
 
 
 # ---------------------------------------------------------------------------

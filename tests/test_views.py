@@ -46,33 +46,33 @@ def _uname(prefix):
     return f"{prefix}Vw{_counter[0]}"
 
 
-def assert_view_queries_agree(db, text):
-    """View-routed execution must match the live-resolution oracle exactly —
-    rows, columns, objects, or the exception type and message."""
+def _outcome(db, text, **options):
+    """Columns, rows and object order of a query, or its exception."""
     try:
-        oracle = run_query(db, text, views=False)
-        oracle_exc = None
-    except Exception as exc:  # noqa: BLE001 - re-asserted below
-        oracle, oracle_exc = None, exc
-    if oracle_exc is not None:
-        with pytest.raises(type(oracle_exc)) as caught:
-            run_query(db, text)
-        assert str(caught.value) == str(oracle_exc)
-        return
-    viewed = run_query(db, text)
-    assert viewed.columns == oracle.columns
-    assert viewed.rows == oracle.rows
-    if oracle.objects is not None:
-        assert [o.surrogate for o in viewed.objects] == [
-            o.surrogate for o in oracle.objects
-        ]
+        result = run_query(db, text, **options)
+    except Exception as exc:  # noqa: BLE001 - compared by the caller
+        return ("error", type(exc), str(exc))
+    objects = result.objects
+    return ("ok", result.columns, result.rows,
+            None if objects is None else [o.surrogate for o in objects])
+
+
+def assert_view_queries_agree(db, text):
+    """View-routed execution must match the live-resolution oracle and the
+    tree walk exactly — rows, columns, objects, or the exception type and
+    message."""
+    viewed = _outcome(db, text)
+    assert viewed == _outcome(db, text, views=False), text
+    assert viewed == _outcome(db, text, compiled=False), text
 
 
 # ---------------------------------------------------------------------------
 # the randomized mutation-script oracle property
 # ---------------------------------------------------------------------------
 
-ALPHA_VALUES = (0, 1, 2, 3)
+#: Ints, a float and a string: ranges mix int and float bounds, and a
+#: string makes comparisons raise mid-scan.
+ALPHA_VALUES = (0, 1, 2, 3, 2.5, "x")
 BETA_VALUES = (0, 1, 2, 3, 4, 5)
 
 
@@ -99,6 +99,14 @@ def _battery(db, world):
         f"select * from {sub.name} where alpha = 0",
         f"select * from {sub.name} where alpha > 1",
         f"select * from {leaf.name} where alpha = 1 or beta = 2",
+        # Polymorphic type sources: Base scans its slots, Sub and Leaf
+        # their views, and the matches come back in source order.
+        f"select * from {base.name} where alpha > 1 and alpha <= 3",
+        f"select * from {base.name} where alpha >= 2 and alpha < 1",
+        f"select alpha from {base.name} where alpha + beta > 3",
+        f"select * from {base.name} where beta - alpha >= 0.5",
+        f"select * from {sub.name} where 0.5 < alpha and alpha < 2.5",
+        "select * from Things where alpha * 2 >= beta",
     ):
         assert_view_queries_agree(db, text)
     assert_derived_state_fresh(db)
@@ -211,6 +219,9 @@ def test_views_match_live_resolution_oracle(actions):
         # Agreement probes per step catch staleness at the moment it
         # appears, not only at the end.
         assert_view_queries_agree(db, f"select * from {sub.name} where alpha = 1")
+        assert_view_queries_agree(
+            db, f"select * from {base.name} where alpha + beta > 3"
+        )
         assert_derived_state_fresh(db)
 
     _battery(db, world)
@@ -341,6 +352,18 @@ def test_explain_shows_view_access_path():
     assert result.plan.access_path == "view"
     assert "access:  view" in text
     assert any("view: Impl columns [Length]" in note for note in result.plan.notes)
+
+
+def test_view_programs_are_cached_per_shape():
+    db, _, _ = _iface_world()
+    view = db.views.view_for(db.catalog.type("Impl"))
+    for bound in range(20):
+        result = run_query(db, f"select * from Impl where Length > {bound}")
+        assert result.plan.access_path == "view"
+        assert len(result.rows) == 19 - bound
+    assert len(view._programs) == 1
+    run_query(db, "select * from Impl where Length > 2.5")
+    assert len(view._programs) == 2  # a float literal is another shape
 
 
 def test_view_disabled_stays_on_live_path():
