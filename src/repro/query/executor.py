@@ -183,9 +183,9 @@ def _scan_by_type(
         return None
     if served:
         plan.access_path = "view"
-    if len(parts) == 1:
-        return scanned, parts[0]
-    return scanned, source.ordered([obj for part in parts for obj in part])
+    if len(parts) > 1:
+        return scanned, source.ordered([obj for part in parts for obj in part])
+    return scanned, parts[0] if parts else []
 
 
 def _execute(

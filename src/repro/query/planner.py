@@ -386,7 +386,7 @@ def plan_source(
         index.validate(candidates)
         candidates = source.ordered(candidates)
         if by_type:
-            candidates = split_by_type(candidates, source.concrete_types())
+            candidates = split_by_type(candidates, concrete_types)
         plan.access_path = path
         plan.index_attr = sargs[0].attr
         plan.sarg = " and ".join(sarg.text for sarg in sargs)

@@ -23,11 +23,10 @@ from hypothesis import strategies as st
 from repro.core import resolution
 from repro.core.attributes import AttributeSpec
 from repro.core.domains import ANY, INTEGER
-from repro.core.slots import UNSET, AttrsView, store_for
+from repro.core.slots import AttrsView, store_for
 from repro.engine import Database
 from repro.engine.integrity import sweep_constraints
 from repro.errors import (
-    ConstraintViolation,
     ExprEvaluationError,
     UnknownAttributeError,
     VersionError,
@@ -37,7 +36,6 @@ from repro.expr.compile import (
     cache_stats,
     compile_info,
     compiled_for,
-    invalidate_cache,
 )
 from repro.query.executor import run_query
 from repro.txn.transactions import TransactionManager
