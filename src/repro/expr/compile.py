@@ -478,13 +478,6 @@ class _Codegen:
         return f"{_ARITH_HELPER[op]}({left}, {right})", False, False
 
 
-def _factory_source(params: int, body: str) -> str:
-    """Wrap generated functions in a factory over the per-node bindings."""
-    args = ", ".join(f"k{i}" for i in range(params))
-    inner = "".join(f"    {line}\n" for line in body.splitlines())
-    return f"def _factory({args}):\n{inner}"
-
-
 def _scan_loop(fast_pred: str, bail: str) -> str:
     """The generated batch filter loop shared by slot and view programs:
     skips deleted objects, counts the rest, collects matches, and answers
@@ -518,8 +511,11 @@ def _scan_loop(fast_pred: str, bail: str) -> str:
 def _exec_factory(
     gen: _Codegen, body: str, returns: str, filename: str
 ) -> Tuple[Callable[..., Any], str]:
-    """Compile ``body`` as a factory over ``gen``'s parameters."""
-    source = _factory_source(gen.param, f"{body}return {returns}\n")
+    """Compile ``body`` (generated functions) inside a factory over
+    ``gen``'s per-node bindings ``k0, k1, …`` that returns ``returns``."""
+    args = ", ".join(f"k{i}" for i in range(gen.param))
+    inner = "".join(f"    {line}\n" for line in f"{body}return {returns}".splitlines())
+    source = f"def _factory({args}):\n{inner}"
     env = gen.env
     env["_scan_type"] = gen.type
     exec(compile(source, filename, "exec"), env)
@@ -584,14 +580,6 @@ _shapes: Dict[int, Tuple[Node, Tuple[Any, ...], List[Any]]] = {}
 _cache_epoch: int = -1
 
 
-def _check_epoch() -> None:
-    global _cache_epoch
-    epoch = _resolution._SCHEMA_EPOCH
-    if epoch != _cache_epoch:
-        invalidate_cache()
-        _cache_epoch = epoch
-
-
 def shape_of(node: Node) -> Tuple[Tuple[Any, ...], List[Any]]:
     """``node``'s shape key and per-node bindings (see :func:`_shape`)."""
     hit = _shapes.get(id(node))
@@ -615,7 +603,10 @@ def compiled_for(node: Node, type_: Any, obs: Any = None) -> CompiledExpr:
     exposes).  Strong references to the nodes and types are retained so
     identity keys stay valid.
     """
-    _check_epoch()
+    global _cache_epoch
+    if _resolution._SCHEMA_EPOCH != _cache_epoch:
+        invalidate_cache()
+        _cache_epoch = _resolution._SCHEMA_EPOCH
     key = (id(node), id(type_))
     hit = _bound.get(key)
     if hit is not None and hit[0] is node and hit[1] is type_:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core import resolution as _resolution
@@ -69,6 +70,9 @@ TSAN: Any = None
 KIND_NUM = 0
 KIND_STR = 1
 KIND_OTHER = 2
+
+#: Bisect key over ``ValueIndex._sorted``: an entry's ``(kind, value)`` rank.
+_RANK = itemgetter(0)
 
 
 def kind_of(value: Any) -> int:
@@ -280,30 +284,27 @@ class ValueIndex:
             return counts[KIND_NUM] == 0
         return False
 
-    def _range_span(self, bounds: Sequence[Tuple[str, Any]]) -> Tuple[int, int]:
-        """The slice of ``_sorted`` inside every ``(op, key)`` bound: one
-        bisect per bound, intersected — a two-sided range costs two."""
+    def range_span(self, bounds: Sequence[Tuple[str, Any]]) -> Tuple[int, int]:
+        """The slice ``[low, high)`` of ``_sorted`` inside every ``(op,
+        key)`` bound: one bisect per bound, intersected, so a two-sided
+        range costs two.  An empty or inverted interval is an empty slice."""
         ranks = self._sorted
-        first = lambda element: element[0]  # noqa: E731 - bisect key
         low, high = 0, len(ranks)
         for op, key in bounds:
             rank = (kind_of(key), key)
             if op == ">":
-                low = max(low, bisect_right(ranks, rank, key=first))
+                low = max(low, bisect_right(ranks, rank, key=_RANK))
             elif op == ">=":
-                low = max(low, bisect_left(ranks, rank, key=first))
+                low = max(low, bisect_left(ranks, rank, key=_RANK))
             elif op == "<":
-                high = min(high, bisect_left(ranks, rank, key=first))
+                high = min(high, bisect_left(ranks, rank, key=_RANK))
             else:  # "<="
-                high = min(high, bisect_right(ranks, rank, key=first))
+                high = min(high, bisect_right(ranks, rank, key=_RANK))
         return low, max(low, high)
 
-    def estimate_range(self, bounds: Sequence[Tuple[str, Any]]) -> int:
-        low, high = self._range_span(bounds)
-        return high - low
-
-    def lookup_range(self, bounds: Sequence[Tuple[str, Any]]) -> List[Any]:
-        low, high = self._range_span(bounds)
+    def lookup_span(self, span: Tuple[int, int]) -> List[Any]:
+        """The objects of a :meth:`range_span` slice, in value order."""
+        low, high = span
         entries = self._entries
         return [entries[surrogate].obj
                 for _, _, surrogate in self._sorted[low:high]]

@@ -238,9 +238,10 @@ def parse_query(source: str) -> QuerySpec:
     """Parse query text into a :class:`QuerySpec`.
 
     Parses are memoised by ``(text, schema epoch)``: re-running a query
-    within one epoch shares one AST — node identity is what keys the
-    compiled-program and view-scan caches, making repeat executions hit
-    their compiled programs instead of recompiling — while any DDL change
+    within one epoch shares one AST — node identity keys the bound-program
+    cache, so a repeat execution finds its compiled program, literals
+    bound, in one dict probe (programs themselves are shared by shape) —
+    while any DDL change
     (type definition, ``declare_inheritor_in``) keys a fresh parse, so no
     downstream cache can serve a program compiled against the old schema
     for textually identical query text.  Each call returns a fresh

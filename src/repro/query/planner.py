@@ -359,7 +359,8 @@ def plan_source(
                 )
                 continue
             if path == "index-eq":
-                estimate = index.estimate_eq(sargs[0].key)
+                probe = sargs[0].key
+                estimate = index.estimate_eq(probe)
             else:
                 unsafe = [s for s in sargs if not index.range_supported(s.key)]
                 for sarg in unsafe:
@@ -369,20 +370,17 @@ def plan_source(
                     )
                 if unsafe:
                     continue
-                estimate = index.estimate_range(
-                    [(sarg.op, sarg.key) for sarg in sargs]
-                )
+                probe = index.range_span([(sarg.op, sarg.key) for sarg in sargs])
+                estimate = probe[1] - probe[0]
             if best is None or estimate < best[0]:
-                best = (estimate, path, sargs, index)
+                best = (estimate, path, sargs, index, probe)
 
     if best is not None and best[0] < size:
-        estimate, path, sargs, index = best
+        estimate, path, sargs, index, probe = best
         if path == "index-eq":
-            candidates = index.lookup_eq(sargs[0].key)
+            candidates = index.lookup_eq(probe)
         else:
-            candidates = index.lookup_range(
-                [(sarg.op, sarg.key) for sarg in sargs]
-            )
+            candidates = index.lookup_span(probe)
         index.validate(candidates)
         candidates = source.ordered(candidates)
         if by_type:
