@@ -178,7 +178,13 @@ EXPERIMENTS = {
         "floor).  Range "
         "+ top-k bisects the sorted index and heap-selects the tail: it grows "
         "with the span (1% of the extent here), not the whole extent, and beats "
-        "the scan by 6–7×, above the 5× floor.  The write-path tax "
+        "the scan by 6–7×, above the 5× floor.  A two-sided range is one "
+        "interval probed with two bisects (range_interval_indexed: its "
+        "candidates are the 50-part span itself, ~55 µs at 10k and 50k alike in "
+        "BENCH_0007).  eq_fresh_text runs a text neither the parse cache nor "
+        "the program cache has seen on every call; it stays flat at ~45 µs, "
+        "mostly the uncached parse, because the predicate's shape is compiled "
+        "once and each text only binds its constant.  The write-path tax "
         "(update_with_indexes) is a few microseconds per touched index — "
         "maintenance along the update's cone, no rebuilds.",
     ),
@@ -219,24 +225,28 @@ EXPERIMENTS = {
         "two perf_counter reads per measured propagation (about 0.2 µs over "
         "update_slowlog_detached in BENCH_0006), and a zero-budget firing log "
         "pays its cone "
-        "diagnosis plus a counter per update on top.  The profiler row does not "
-        "price sampling: reads_profiled_1khz starts and stops the sampler "
-        "inside every timed call, and a 5 000-read batch (~0.7 ms) ends before "
-        "the first 1 ms sampling interval, so no sample lands in a timed call "
-        "and the ~120 µs gap to reads_unprofiled is the sampler thread's start "
-        "and stop.  The case's check runs the loop under one started sampler "
-        "until it lands a sample.",
+        "diagnosis plus a counter per update on top.  reads_profiled_1khz "
+        "starts and stops the sampler inside every timed call, and a 5 000-read "
+        "batch (~0.7 ms) ends before the first 1 ms sampling interval, so no "
+        "sample lands in it: its ~120 µs gap to reads_unprofiled is the sampler "
+        "thread's start and stop.  reads_sampled_1khz prices sampling itself: "
+        "100 000 reads (~14 ms) under one start and stop, so samples land in "
+        "every call (its check asserts that they do and that no sampler thread "
+        "outlives the call).  Per read it costs about 2% more than "
+        "reads_unprofiled in BENCH_0007 (13.6 ms against 20 × 0.67 ms), the "
+        "start and stop included.",
     ),
     "bench_e19_storage": (
         "E19 — slotted storage engine: compiled slot programs vs. tree walk",
         "engine substrate (repro.core.slots / repro.expr.compile)",
         "Attributes live in per-type column stores; predicates and constraints "
-        "compile once per (expression, type, schema epoch) into generated batch "
+        "compile once per (shape, type, schema epoch) — the shape is the AST "
+        "with its literals lifted out, bound per node — into generated batch "
         "scans that read slots positionally with raw comparisons, falling back "
         "to the tree walk on any type surprise.  At 50k objects the compiled "
         "unindexed equality and range scans and the fused two-phase constraint "
         "sweep each beat the tree-walking oracle by over the 10× acceptance "
-        "floor (~15×/~15×/~19× in BENCH_0006); the oracle rows grow linearly with "
+        "floor (~15×/~15×/~19× in BENCH_0007); the oracle rows grow linearly with "
         "the extent while compiled rows keep a ~15× smaller constant.  "
         "Equivalence — identical rows, violations and error messages — is "
         "pinned by the hypothesis oracles in tests/test_storage.py.",
@@ -248,10 +258,14 @@ EXPERIMENTS = {
         "the storage rows, so the generated view scan reads them with the same "
         "positional index as stored slots — no per-object resolution, no "
         "hashing.  At 50k implementations the unindexed inherited equality and "
-        "range scans beat the tree-walk oracle by ~16× each in BENCH_0006 (≥7× "
+        "range scans beat the tree-walk oracle by ~16× each in BENCH_0007 (≥7× "
         "is the in-test "
         "floor) and the compiled live path (views=False) — whose inherited "
-        "reads still resolve per object — by ~4×.  The write side is priced by "
+        "reads still resolve per object — by ~4×.  A polymorphic source is "
+        "scanned type by type: view_polymorphic filters a type source of 5 000 "
+        "implementations and the 5 000 uses inheriting from them on "
+        "Length + Width, each type through its own view, and merges the ~1 100 "
+        "matches back into source order (3.0 ms in BENCH_0007).  The write side is priced by "
         "the write rounds: a transmitter update refreshes its fan-out's view "
         "cells along its propagation cone at ~0.7 µs per cell, so the "
         "per-write tax scales with the fan-out (~2 µs at fan-out 1, ~34 µs at "
@@ -349,12 +363,12 @@ current.
 | E12 | §6 selection queries | query execution | measured (linear filters, O(1)-ish parse) |
 | E13 | instrumentation layer | observability overhead | measured (near-zero off, bounded on) |
 | E14 | §4.1 member resolution | compiled plans + epoch memo | measured (O(1) steady-state reads, ≥3× vs. interpretive) |
-| E15 | §6 selection queries | attribute/type indexes + planner | measured (≥10× selective equality, ≥5× range+top-k at 50k) |
+| E15 | §6 selection queries | attribute/type indexes + planner | measured (≥10× selective equality, ≥5× range+top-k at 50k; fresh texts and two-sided intervals priced) |
 | E16 | observability layer | causal provenance / audit overhead | measured (~13% audit tax at Figure-2 fan-out, dark path unchanged) |
 | E17 | static analyzer | lint cost vs. prevented failures | measured (ms-scale lint, near-linear scaling, verify ≈ 1.4 lints) |
-| E18 | perf observatory | profiler + slow-log overhead | measured (slow log ≈0 when disabled; the profiler row prices start/stop, not sampling) |
+| E18 | perf observatory | profiler + slow-log overhead | measured (slow log ≈0 when disabled; 1 kHz sampling ≈2% per read, start/stop ~120 µs) |
 | E19 | engine substrate | slotted storage + compiled scans | measured (≥10× eq/range scans and constraint sweep at 50k vs. tree walk) |
-| E20 | §4.2 permeability (Litwin SIRs) | materialized per-type views | measured (~16× inherited-eq scan at 50k vs. tree walk, maintenance priced) |
+| E20 | §4.2 permeability (Litwin SIRs) | materialized per-type views | measured (~16× inherited-eq scan at 50k vs. tree walk, polymorphic sources per type, maintenance priced) |
 | E21 | service-tier observability | flight recorder + contention observatory | measured (tick ~10 µs, update parity empty vs. full ring, contended grants + health walk) |
 | E22 | concurrency correctness | race-sanitizer overhead, zero-cost dark path | measured (dark hot path held by the trajectory, a few % sanitized updates, ~16× sanitized lock round-trips) |
 
